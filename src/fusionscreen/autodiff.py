@@ -3,7 +3,28 @@
 A :class:`ValueGraph` is an eager tape: ``apply`` runs the op immediately and
 records it, ``backward`` walks the tape in reverse, and ``forward`` replays the
 whole tape (used by the finite-difference checker).  Everything is 64-bit
-NumPy; small desk-scale networks do not need anything faster.
+NumPy.
+
+A node requires a gradient when it is a trainable leaf or when any of its
+inputs requires one.  ``backward`` computes only those gradients: an input
+leaf such as the voxel grid, and every node that depends on inputs alone,
+gets none, so the first convolution never computes its input gradient.
+
+conv3d is a same-padded, stride-1 correlation computed tile by tile: each
+tile is a channel-major im2col block ``[C*k^3, positions]`` covering whole
+samples, or depth slabs of one sample when a sample does not fit, and one
+GEMM per sample writes its output straight into place.  The forward pass,
+the input gradient (the flipped, channel-swapped kernel applied to tiles of
+the output gradient) and the weight gradient (summed tile by tile) share
+the tiling.  A tile holds at most :data:`_TILE_BYTES`, or one depth slice
+of one sample if that is larger, where a whole-batch column matrix reaches
+hundreds of MB at paper size.  The size was chosen by measurement with
+minor page faults in view: glibc raises its mmap threshold to the size of
+the largest mapped block freed, and trims the heap top beyond twice that,
+so tile buffers of 16 MB and less left the other temporaries of a 56-pose
+criterion-3 prediction to be mapped and faulted afresh on some or all runs
+(over 200x the faults, about 30% slower).  24 MB stays below glibc's 32 MB
+cap on that threshold, so the buffer itself is reused from the heap.
 """
 
 from __future__ import annotations
@@ -11,7 +32,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
@@ -28,6 +48,9 @@ __all__ = [
 SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
 LEAKY_SLOPE = 0.01
+
+# Bytes of one conv3d im2col tile; see the module docstring.
+_TILE_BYTES = 24 * 2 ** 20
 
 
 class GraphError(ValueError):
@@ -46,9 +69,11 @@ def _as_array(x) -> np.ndarray:
 
 
 class Node:
-    __slots__ = ("nid", "op", "inputs", "value", "attrs", "trainable", "name", "ctx")
+    __slots__ = ("nid", "op", "inputs", "value", "attrs", "trainable", "name",
+                 "ctx", "needs")
 
-    def __init__(self, nid, op, inputs, value, attrs, trainable=False, name=None):
+    def __init__(self, nid, op, inputs, value, attrs, trainable=False, name=None,
+                 needs=()):
         self.nid = nid
         self.op = op
         self.inputs = inputs
@@ -57,11 +82,19 @@ class Node:
         self.trainable = trainable
         self.name = name
         self.ctx: dict[str, Any] = {}
+        # per input: does that input require a gradient?
+        self.needs = needs
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.trainable or any(self.needs)
 
 
 # Each op: forward(node, input_values, graph) -> np.ndarray
 #          backward(node, input_values, grad_out) -> list of grads (None for
-#          inputs that receive no gradient).
+#          inputs that receive no gradient).  Backward may return None for an
+#          input whose ``node.needs`` entry is False; any gradient it returns
+#          for such an input is dropped.
 _OPS: dict[str, tuple[Callable, Callable]] = {}
 
 
@@ -89,7 +122,9 @@ class ValueGraph:
         return self._add("leaf", [], _as_array(value), {}, True, name)
 
     def _add(self, op, inputs, value, attrs, trainable, name) -> int:
-        node = Node(len(self.nodes), op, list(inputs), value, attrs, trainable, name)
+        needs = tuple(self.nodes[i].requires_grad for i in inputs)
+        node = Node(len(self.nodes), op, list(inputs), value, attrs, trainable,
+                    name, needs)
         self.nodes.append(node)
         return node.nid
 
@@ -129,15 +164,17 @@ class ValueGraph:
             raise GraphError(
                 f"backward requires a scalar loss, got shape {loss.value.shape}"
             )
-        grads: dict[int, np.ndarray] = {loss_node: np.ones_like(loss.value)}
+        grads: dict[int, np.ndarray] = {}
+        if loss.requires_grad:
+            grads[loss_node] = np.ones_like(loss.value)
         for node in reversed(self.nodes[: loss_node + 1]):
             g = grads.get(node.nid)
             if g is None or node.op == "leaf":
                 continue
             _, bwd = _OPS[node.op]
             in_grads = bwd(node, [self.nodes[i].value for i in node.inputs], g)
-            for i, ig in zip(node.inputs, in_grads):
-                if ig is None:
+            for i, need, ig in zip(node.inputs, node.needs, in_grads):
+                if not need or ig is None:
                     continue
                 if i in grads:
                     grads[i] = grads[i] + ig
@@ -205,6 +242,51 @@ def _matmul():
     return fwd, bwd
 
 
+def _im2col_tiles(x, k):
+    """Channel-major im2col tiles of ``x`` [B,C,D,H,W], same-padded for a
+    cubic kernel of side ``k``.
+
+    Yields ``(b0, b1, s0, s1, cols)``: ``cols`` [C*k^3, b1-b0, s1-s0] holds
+    the receptive fields of samples b0:b1 at flattened output positions
+    s0:s1, with rows ordered (c, i, j, k) like a reshaped kernel.  A tile
+    covers whole samples, or whole depth slices of one sample.  Every tile
+    lives in one buffer, so each must be used before the next is drawn.
+    """
+    b, c, d, h, w = x.shape
+    p = k // 2
+    rows = c * k ** 3
+    plane = h * w
+    positions = max(plane, _TILE_BYTES // (rows * x.itemsize))
+    if d * plane <= positions:
+        nb, nd = positions // (d * plane), d
+    else:
+        nb, nd = 1, positions // plane
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
+    win = sliding_window_view(xp, (k, k, k), axis=(2, 3, 4))  # [B,C,D,H,W,k,k,k]
+    buf = np.empty(rows * min(nb, b) * nd * plane)
+    for b0 in range(0, b, nb):
+        b1 = min(b0 + nb, b)
+        for d0 in range(0, d, nd):
+            d1 = min(d0 + nd, d)
+            cols = buf[: rows * (b1 - b0) * (d1 - d0) * plane].reshape(
+                c, k, k, k, b1 - b0, d1 - d0, h, w)
+            np.copyto(cols, win[b0:b1, :, d0:d1].transpose(1, 5, 6, 7, 0, 2, 3, 4))
+            yield b0, b1, d0 * plane, d1 * plane, cols.reshape(
+                rows, b1 - b0, (d1 - d0) * plane)
+
+
+def _correlate(x, w):
+    """Same-padded stride-1 correlation of ``x`` [B,C,D,H,W] with ``w``
+    [O,C,k,k,k]: out[b,o] = sum over c and the window of w[o,c] * x[b,c]."""
+    o = w.shape[0]
+    out = np.empty((x.shape[0], o) + x.shape[2:])
+    flat = out.reshape(x.shape[0], o, -1)
+    kernel = w.reshape(o, -1)
+    for b0, b1, s0, s1, cols in _im2col_tiles(x, w.shape[2]):
+        np.matmul(kernel, cols.transpose(1, 0, 2), out=flat[b0:b1, :, s0:s1])
+    return out
+
+
 @_op("conv3d")
 def _conv3d():
     # Cubic kernel, stride 1, zero padding k//2: spatial extent is preserved.
@@ -223,27 +305,23 @@ def _conv3d():
             f"input channels {x.shape} vs kernel {w.shape}",
         )
         _check(b.shape == (w.shape[0],), "conv3d", f"bias {b.shape} vs kernel {w.shape}")
-        k = w.shape[2]
-        p = k // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
-        win = sliding_window_view(xp, (k, k, k), axis=(2, 3, 4))
-        node.ctx["win"] = win
-        out = np.einsum("bcdhwijk,ocijk->bodhw", win, w, optimize=True)
-        return out + b[None, :, None, None, None]
+        return _correlate(x, w) + b[None, :, None, None, None]
 
     def bwd(node, vals, g):
         x, w, _ = vals
-        k = w.shape[2]
-        p = k // 2
-        win = node.ctx["win"]
-        gw = np.einsum("bodhw,bcdhwijk->ocijk", g, win, optimize=True)
+        o, k = w.shape[0], w.shape[2]
+        gflat = g.reshape(g.shape[0], o, -1)
+        gw = np.zeros((o, x.shape[1] * k ** 3))
+        for b0, b1, s0, s1, cols in _im2col_tiles(x, k):
+            gt = gflat[b0:b1, :, s0:s1].transpose(1, 0, 2).reshape(o, -1)
+            gw += gt @ cols.reshape(cols.shape[0], -1).T
         gb = g.sum(axis=(0, 2, 3, 4))
-        # dx is the same-padded correlation of g with the flipped kernel.
-        gp = np.pad(g, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
-        gwin = sliding_window_view(gp, (k, k, k), axis=(2, 3, 4))
-        wflip = w[:, :, ::-1, ::-1, ::-1]
-        gx = np.einsum("bodhwijk,ocijk->bcdhw", gwin, wflip, optimize=True)
-        return [gx, gw, gb]
+        gx = None
+        if node.needs[0]:
+            # dx is the same-padded correlation of g with the flipped kernel,
+            # its channel axes swapped.
+            gx = _correlate(g, w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
+        return [gx, gw.reshape(w.shape), gb]
 
     return fwd, bwd
 
@@ -539,9 +617,7 @@ def _neighbor_sum():
         return np.asarray(m @ h)
 
     def bwd(node, vals, g):
-        m = node.attrs["matrix"]
-        mt = m.T if sp.issparse(m) else m.T
-        return [np.asarray(mt @ g)]
+        return [np.asarray(node.attrs["matrix"].T @ g)]
 
     return fwd, bwd
 

@@ -331,10 +331,12 @@ def cmd_report(args) -> int:
     campaign = json.loads(campaign_path.read_text())
     shards = harness.load_shards(args.campaign)
     n_compounds = len({r.compound_id for r in shards})
-    t = campaign.get("timings", {})
-    rep = harness.throughput_report(
-        t.get("startup_s", 0.0), max(t.get("evaluation_s", 0.0), 1e-9),
-        t.get("output_s", 0.0), len(shards), n_compounds)
+    # The manifest's phase times are summed over jobs that ran in parallel;
+    # the campaign's rate is its poses over its wall clock, which the
+    # report counts as one evaluation phase.
+    wall_s = campaign.get("timings", {}).get("wall_s", 0.0)
+    rep = harness.throughput_report(0.0, max(wall_s, 1e-9), 0.0,
+                                    len(shards), n_compounds)
     summary = {"campaign": campaign, "throughput": rep.as_dict()}
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w") as f:

@@ -178,7 +178,10 @@ def pr_curve(scores, true_labels):
     Thresholds are the unique scores; at each one, strictly-above is called
     positive.  Returns (thresholds, precision, recall, f1_best, baseline)
     where baseline is the positive fraction, the precision of a classifier
-    that calls everything positive.
+    that calls everything positive.  Precision, recall and F1 are None where
+    :class:`ConfusionSummary` leaves them undefined.  One sort per class and
+    a binary search per threshold count the positives and negatives strictly
+    above it (Davis & Goadrich 2006), so the sweep is O(n log n).
     """
     scores = np.asarray(scores, dtype=float)
     t = np.asarray(true_labels, dtype=int)
@@ -188,15 +191,19 @@ def pr_curve(scores, true_labels):
         raise ValueError("no labeled points")
     baseline = float(t.mean())
     thresholds = np.concatenate([[-np.inf], np.unique(scores)])
-    precision, recall = [], []
-    f1_best = None
-    for th in thresholds:
-        c = confusion((scores > th).astype(int), t)
-        precision.append(c.precision)
-        recall.append(c.recall)
-        if c.f1 is not None and (f1_best is None or c.f1 > f1_best):
-            f1_best = c.f1
-    return thresholds, precision, recall, f1_best, baseline
+    pos, neg = np.sort(scores[t == 1]), np.sort(scores[t == 0])
+    tp = len(pos) - np.searchsorted(pos, thresholds, side="right")
+    fp = len(neg) - np.searchsorted(neg, thresholds, side="right")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prec = tp / (tp + fp)
+        rec = tp / len(pos) if len(pos) else np.full(len(thresholds), np.nan)
+        f1 = 2 * prec * rec / (prec + rec)
+
+    def defined(values):
+        return [None if np.isnan(v) else v for v in values.tolist()]
+
+    f1_best = float(np.nanmax(f1)) if not np.all(np.isnan(f1)) else None
+    return thresholds, defined(prec), defined(rec), f1_best, baseline
 
 
 # ---------------------------------------------------------------------------

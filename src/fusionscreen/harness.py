@@ -221,17 +221,31 @@ class SyntheticScorer:
                 for p in poses]
 
 
+@dataclass(frozen=True)
+class Unscorable:
+    """Returned by a scorer in place of the score of a pose it cannot score.
+
+    The job logs the pose with this reason beside its corrupt records and
+    scores the rest of the batch.
+    """
+    reason: str
+
+
 class ModelScorer:
-    """Scores poses whose payloads are (VoxelGrid, ComplexGraph) pairs."""
+    """Scores poses whose payloads are (VoxelGrid, ComplexGraph) pairs.
+
+    A pose that ``predict_batch`` rejects comes back as :class:`Unscorable`
+    with its reason.
+    """
 
     def __init__(self, model):
         self.model = model
 
-    def __call__(self, poses: list[PoseRecord]) -> list[float]:
+    def __call__(self, poses: list[PoseRecord]) -> list[float | Unscorable]:
         preds, errors = self.model.predict_batch([p.payload for p in poses])
-        for idx, reason in errors:
-            raise ValueError(f"unscorable pose {pose_key(poses[idx])}: {reason}")
-        return [float(p) for p in preds]
+        reasons = dict(errors)
+        return [Unscorable(reasons[i]) if i in reasons else float(p)
+                for i, p in enumerate(preds)]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +262,8 @@ def run_job(spec: JobSpec, scorer, plan: FaultPlan | None = None,
 
     Output shards (one JSONL file per rank, predictions grouped by compound)
     and the shard manifest appear only if the whole job succeeds; corrupted
-    records are skipped and logged, never written as predictions.
+    records and poses the scorer returns as :class:`Unscorable` are skipped
+    and logged, never written as predictions.
     """
     plan = plan or FaultPlan()
     result = JobResult(spec.job_id, attempt, "ok")
@@ -276,6 +291,9 @@ def run_job(spec: JobSpec, scorer, plan: FaultPlan | None = None,
         for i in range(0, len(clean), spec.batch_size):
             batch = clean[i:i + spec.batch_size]
             for p, score in zip(batch, scorer(batch)):
+                if isinstance(score, Unscorable):
+                    result.corrupted.append((pose_key(p), score.reason))
+                    continue
                 preds.append(PredictionRecord(p.compound_id, p.target_id,
                                               p.pose_id, score,
                                               spec.job_id, rank_id))

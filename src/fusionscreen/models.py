@@ -651,16 +651,6 @@ def featurize(complexes: list[SyntheticComplex], voxel_cfg: VoxelHeadConfig,
     return out
 
 
-def _params_hash(params: dict[str, np.ndarray]) -> bytes:
-    import hashlib
-
-    h = hashlib.sha256()
-    for k in sorted(params):
-        h.update(k.encode())
-        h.update(np.ascontiguousarray(params[k]).tobytes())
-    return h.digest()
-
-
 def _eval_mse(model: FusionModel, items: list[FeaturizedItem],
               chunk: int = 256) -> float:
     se, n = 0.0, 0

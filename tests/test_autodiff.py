@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
+from fusionscreen import autodiff
 from fusionscreen.autodiff import (
     GraphError,
     LEAKY_SLOPE,
@@ -285,3 +287,137 @@ class TestGradientCheck:
         g, loss = self.build_mlp(0)
         with pytest.raises(GraphError):
             gradient_check(g, loss, 0.0)
+
+
+def naive_conv3d(x, w, b):
+    """Same-padded stride-1 correlation by nested loops over positions."""
+    k = w.shape[2]
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
+    nb, _, d, h, wd = x.shape
+    out = np.zeros((nb, w.shape[0], d, h, wd))
+    for z in range(d):
+        for y in range(h):
+            for v in range(wd):
+                patch = xp[:, :, z:z + k, y:y + k, v:v + k]
+                out[:, :, z, y, v] = np.tensordot(patch, w, ([1, 2, 3, 4],
+                                                             [1, 2, 3, 4]))
+    return out + b[None, :, None, None, None]
+
+
+def naive_conv3d_grads(x, w, g):
+    """dW and dX of the correlation above for output gradient g."""
+    k = w.shape[2]
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    _, _, d, h, wd = x.shape
+    for z in range(d):
+        for y in range(h):
+            for v in range(wd):
+                gv = g[:, :, z, y, v]                       # [B, O]
+                patch = xp[:, :, z:z + k, y:y + k, v:v + k]  # [B, C, k, k, k]
+                gw += np.tensordot(gv, patch, ([0], [0]))
+                gxp[:, :, z:z + k, y:y + k, v:v + k] += np.tensordot(
+                    gv, w, ([1], [0]))
+    return gw, gxp[:, :, p:p + d, p:p + h, p:p + wd]
+
+
+# (x shape, kernel shape, tile bytes): tiles of two samples out of three,
+# depth slabs of one sample (with a short last slab), and the default size.
+TILINGS = [
+    ((3, 2, 4, 4, 4), (3, 2, 3, 3, 3), 2 * 64 * 54 * 8),
+    ((2, 2, 5, 4, 4), (4, 2, 5, 5, 5), 2 * 16 * 250 * 8),
+    ((2, 3, 6, 6, 6), (2, 3, 3, 3, 3), None),
+]
+# A box with odd, unequal sides.  BLAS handles its matrix edges in another
+# summation order than the einsum's, so it is compared with loops only.
+ODD_TILING = ((2, 2, 5, 3, 4), (4, 2, 5, 5, 5), 2 * 12 * 250 * 8)
+
+
+class TestTiledConv:
+    @pytest.mark.parametrize("xs,ws,tile", TILINGS + [ODD_TILING])
+    def test_forward_and_gradients_match_loops(self, xs, ws, tile, rng,
+                                               monkeypatch):
+        if tile is not None:
+            monkeypatch.setattr(autodiff, "_TILE_BYTES", tile)
+        x, w, b = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=ws[0])
+        g = ValueGraph()
+        xn, wn, bn = g.parameter(x), g.parameter(w), g.parameter(b)
+        out = g.apply("conv3d", [xn, wn, bn])
+        target = rng.normal(size=g.value(out).shape)
+        loss = g.apply("mse-loss", [out, g.input(target)])
+        grads = g.backward(loss)
+        assert np.allclose(g.value(out), naive_conv3d(x, w, b), atol=1e-12)
+        gout = 2.0 * (g.value(out) - target) / target.size
+        gw, gx = naive_conv3d_grads(x, w, gout)
+        assert np.allclose(grads[wn], gw, rtol=1e-12, atol=1e-14)
+        assert np.allclose(grads[xn], gx, rtol=1e-12, atol=1e-14)
+        assert np.allclose(grads[bn], gout.sum(axis=(0, 2, 3, 4)))
+
+    @pytest.mark.parametrize("xs,ws,tile", TILINGS)
+    def test_forward_bitwise_equals_einsum(self, xs, ws, tile, rng,
+                                           monkeypatch):
+        if tile is not None:
+            monkeypatch.setattr(autodiff, "_TILE_BYTES", tile)
+        x, w, b = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=ws[0])
+        g = ValueGraph()
+        out = g.value(g.apply("conv3d", [g.input(x), g.parameter(w),
+                                         g.parameter(b)]))
+        k = ws[2]
+        p = k // 2
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
+        win = sliding_window_view(xp, (k, k, k), axis=(2, 3, 4))
+        ref = np.einsum("bcdhwijk,ocijk->bodhw", win, w, optimize=True)
+        assert np.array_equal(out, ref + b[None, :, None, None, None])
+
+    def test_no_gradient_for_input_leaf(self, rng, monkeypatch):
+        calls = []
+        correlate = autodiff._correlate
+
+        def counting(x, w):
+            calls.append(x.shape)
+            return correlate(x, w)
+
+        monkeypatch.setattr(autodiff, "_correlate", counting)
+        g = ValueGraph()
+        x = g.input(rng.normal(size=(2, 2, 4, 4, 4)))
+        w = g.parameter(rng.normal(size=(3, 2, 3, 3, 3)))
+        b = g.parameter(rng.normal(size=3))
+        frozen = g.apply("relu", [x])
+        out = g.apply("conv3d", [frozen, w, b])
+        loss = g.apply("mse-loss", [out, g.input(np.zeros((2, 3, 4, 4, 4)))])
+        assert not g.nodes[x].requires_grad
+        assert not g.nodes[frozen].requires_grad
+        assert g.nodes[out].requires_grad
+        assert g.nodes[out].needs == (False, True, True)
+        calls.clear()
+        grads = g.backward(loss)
+        assert calls == []                  # no dX pass
+        assert grads[w].shape == (3, 2, 3, 3, 3)
+
+    def test_loss_without_parameters_gets_no_gradients(self, rng):
+        g = ValueGraph()
+        x = g.input(rng.normal(size=(2, 3)))
+        loss = g.apply("mse-loss", [g.apply("tanh", [x]),
+                                    g.input(np.zeros((2, 3)))])
+        assert g.backward(loss) == {}
+
+    def test_gradient_check_stacked_convs_from_leaf(self, rng, monkeypatch):
+        # depth slabs for the first conv, two-sample tiles for the second
+        monkeypatch.setattr(autodiff, "_TILE_BYTES", 2 * 64 * 54 * 8)
+        g = ValueGraph()
+        x = g.input(rng.normal(size=(3, 1, 4, 4, 4)))
+        h = g.apply("conv3d", [x, g.parameter(rng.normal(size=(2, 1, 5, 5, 5)) * 0.2),
+                               g.parameter(rng.normal(size=2) * 0.1)])
+        h = g.apply("tanh", [h])
+        h = g.apply("conv3d", [h, g.parameter(rng.normal(size=(2, 2, 3, 3, 3)) * 0.3),
+                               g.parameter(rng.normal(size=2) * 0.1)])
+        h = g.apply("tanh", [h])
+        h = g.apply("max-pool3d", [h], {"size": 2})
+        h = g.apply("flatten", [h])
+        out = g.apply("dense", [h, g.parameter(rng.normal(size=(16, 1)) * 0.3),
+                                g.parameter(rng.normal(size=1))])
+        loss = g.apply("mse-loss", [out, g.input(rng.normal(size=(3, 1)))])
+        assert gradient_check(g, loss, 1e-5) < 1e-4

@@ -63,6 +63,21 @@ class TestScreenEvalReport:
         t = summary["throughput"]
         assert t["poses_per_hour"] == 3600.0 * t["poses_per_second"]
 
+    def test_report_rate_uses_wall_clock(self, tmp_path):
+        data = gen_dataset(tmp_path, count=200)
+        scr = tmp_path / "scr"
+        assert run(["screen", "--library", str(data), "--jobs", "4",
+                    "--ranks", "2", "--parallelism", "2",
+                    "--out", str(scr)]) == cli.EXIT_OK
+        rep = tmp_path / "rep"
+        assert run(["report", "--campaign", str(scr),
+                    "--out", str(rep)]) == cli.EXIT_OK
+        summary = json.loads((rep / "report.json").read_text())
+        timings = summary["campaign"]["timings"]
+        # per-job phase times sum over both workers; the rate is wall clock
+        assert summary["throughput"]["poses_per_second"] == \
+            200 / timings["wall_s"]
+
     def test_incomplete_screen_exits_3(self, tmp_path):
         data = gen_dataset(tmp_path)
         code = run(["screen", "--library", str(data), "--jobs", "4",

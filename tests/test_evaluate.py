@@ -194,6 +194,33 @@ class TestPrCurve:
             assert p == c.precision
             assert r == c.recall
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_brute_force_with_ties_and_dropped_labels(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        scores = rng.integers(0, 25, size=n) / 4.0       # many ties
+        labels = rng.integers(-1, 2, size=n)             # -1 is dropped
+        if seed == 0:
+            labels[labels == 1] = 0                      # no positives
+        kept = [(s, t) for s, t in zip(scores, labels) if t >= 0]
+        if not kept:
+            return
+        th, prec, rec, f1_best, baseline = ev.pr_curve(scores, labels)
+        assert list(th) == [-np.inf] + sorted({s for s, _ in kept})
+        assert baseline == sum(t for _, t in kept) / len(kept)
+        best = None
+        for t, p, r in zip(th, prec, rec):
+            tp = sum(1 for s, lab in kept if s > t and lab == 1)
+            fp = sum(1 for s, lab in kept if s > t and lab == 0)
+            pos = sum(1 for _, lab in kept if lab == 1)
+            want_p = tp / (tp + fp) if tp + fp else None
+            want_r = tp / pos if pos else None
+            assert p == want_p and r == want_r
+            if want_p is not None and want_r is not None and want_p + want_r:
+                f1 = 2 * want_p * want_r / (want_p + want_r)
+                best = f1 if best is None else max(best, f1)
+        assert f1_best == best
+
     def test_dropped_labels_excluded(self):
         th, prec, rec, _, baseline = ev.pr_curve([1.0, 2.0, 3.0], [0, -1, 1])
         assert baseline == 0.5

@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fusionscreen import harness
+from fusionscreen.complexes import VoxelGrid
 from fusionscreen.harness import (
     FaultPlan,
     JobSpec,
@@ -221,10 +223,39 @@ class TestModelScorer:
             [(it.grid, it.graph) for it in toy_items[:4]])
         assert scores == direct
 
-    def test_unscorable_pose_raises(self, toy_model):
+    def test_unscorable_pose_returned_with_reason(self, toy_model, toy_items):
         scorer = harness.ModelScorer(toy_model)
-        with pytest.raises(ValueError, match="unscorable"):
-            scorer([PoseRecord("c0", "t0", 0, None)])
+        it = toy_items[0]
+        scores = scorer([PoseRecord("c0", "t0", 0, None),
+                         PoseRecord("c1", "t0", 0, (it.grid, it.graph))])
+        assert scores[0] == harness.Unscorable(
+            "item is not a (VoxelGrid, ComplexGraph) pair")
+        assert isinstance(scores[1], float)
+
+    def test_unscorable_pose_logged_campaign_finishes(self, toy_model,
+                                                      toy_items, tmp_path):
+        lib = [PoseRecord(f"c{i // 2:03d}", "t0", i % 2,
+                          (toy_items[i % 16].grid, toy_items[i % 16].graph))
+               for i in range(20)]
+        bad = np.array(lib[7].payload[0].occupancy)
+        bad[0, 1, 2, 3] = np.nan
+        lib[7] = PoseRecord(lib[7].compound_id, "t0", lib[7].pose_id,
+                            (VoxelGrid(bad), lib[7].payload[1]))
+        preds, report = run_campaign(lib, harness.ModelScorer(toy_model),
+                                     n_jobs=2, out_dir=tmp_path,
+                                     parallelism=2, ranks_per_job=2,
+                                     batch_size=4)
+        assert report.complete
+        assert report.corrupted == [
+            (pose_key(lib[7]), "voxel grid contains non-finite values")]
+        assert len(preds) == 19
+        assert pose_key(lib[7]) not in {pose_key_of(r) for r in preds}
+        logged = [json.loads(line)
+                  for path in sorted(tmp_path.glob("job_*_errors.jsonl"))
+                  for line in path.read_text().splitlines()]
+        assert logged == [{"pose": pose_key(lib[7]),
+                           "reason": "voxel grid contains non-finite values"}]
+        assert len(harness.load_shards(tmp_path)) == 19
 
 
 def pose_key_of(r):
