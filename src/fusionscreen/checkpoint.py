@@ -2,11 +2,14 @@
 
 Layout: a JSON metadata entry plus one float64 array per parameter and per
 optimizer-state slot.  Versioned so future formats can refuse politely.
+Saving is atomic: a failed save leaves the previous file at the path intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +44,17 @@ def save_checkpoint(path, params: dict[str, np.ndarray],
     payload["__header__"] = np.frombuffer(
         json.dumps(header, sort_keys=True).encode(), dtype=np.uint8
     )
-    with open(path, "wb") as f:
-        np.savez(f, **payload)
+    # Written beside the target, then renamed over it, so a writer that
+    # fails partway leaves the previous checkpoint in place.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            np.savez(f, **payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], Optimizer | None, dict]:

@@ -267,8 +267,7 @@ def cmd_screen(args) -> int:
     preds, report = harness.run_campaign(
         library, scorer, n_jobs=args.jobs, plan=plan, out_dir=out,
         parallelism=args.parallelism, retries=args.retries,
-        ranks_per_job=args.ranks, batch_size=args.batch_size,
-        loaders_per_rank=args.loaders)
+        ranks_per_job=args.ranks, batch_size=args.batch_size)
     elapsed = time.perf_counter() - t0
     _write_manifest(out, "screen", vars(args) | {"out": str(out)},
                     [harness.MANIFEST_NAME],
@@ -409,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=int, default=harness.DEFAULT_RANKS_PER_JOB)
     p.add_argument("--batch-size", type=int,
                    default=harness.DEFAULT_BATCH_SIZE)
-    p.add_argument("--loaders", type=int,
-                   default=harness.DEFAULT_LOADERS_PER_RANK)
     p.add_argument("--parallelism", type=int, default=4)
     p.add_argument("--retries", type=int, default=harness.DEFAULT_RETRIES)
     p.add_argument("--corruption-rate", type=float, default=0.0)

@@ -4,9 +4,14 @@ A screening campaign splits a pose library into contiguous jobs; each job
 scores its poses across a fixed number of ranks, gathers every rank's
 predictions, redistributes them by compound, and writes one output shard per
 rank plus a manifest.  Writes are all-or-nothing: a job that fails at any
-point before the gather leaves no shards behind.  The campaign driver retries
-failed jobs up to a retry budget and records any ranges still missing
-afterwards, so re-running a campaign never duplicates a prediction.
+point before the gather leaves no shards behind; a scorer that raises fails
+only that attempt.  The campaign driver retries failed jobs up to a retry
+budget and records any ranges still missing afterwards, so within one
+campaign no prediction is written twice.  Across campaigns this does not yet
+hold: a re-run into a directory that holds a different job layout overwrites
+only the files whose names it shares, and the earlier layout's other shards
+and manifests stay beside its own, so the directory then holds some poses
+twice (ROADMAP item 3).
 
 Faults are injected deterministically from a seed: record corruption is a
 property of the pose (stable across attempts), rank and job failures are
@@ -18,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -29,7 +35,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_RANKS_PER_JOB = 16
 DEFAULT_BATCH_SIZE = 56
-DEFAULT_LOADERS_PER_RANK = 12
 DEFAULT_RETRIES = 3
 MANIFEST_NAME = "campaign_manifest.json"
 
@@ -73,12 +78,10 @@ class JobSpec:
     poses: tuple
     ranks_per_job: int = DEFAULT_RANKS_PER_JOB
     batch_size: int = DEFAULT_BATCH_SIZE
-    loaders_per_rank: int = DEFAULT_LOADERS_PER_RANK
 
     def __post_init__(self):
-        if self.ranks_per_job < 1 or self.batch_size < 1 \
-                or self.loaders_per_rank < 1:
-            raise ValueError("ranks, batch size and loaders must be >= 1")
+        if self.ranks_per_job < 1 or self.batch_size < 1:
+            raise ValueError("ranks and batch size must be >= 1")
 
 
 @dataclass
@@ -139,9 +142,7 @@ def balanced_sizes(n: int, parts: int) -> list[int]:
 
 def partition(library: list[PoseRecord], n_jobs: int,
               ranks_per_job: int = DEFAULT_RANKS_PER_JOB,
-              batch_size: int = DEFAULT_BATCH_SIZE,
-              loaders_per_rank: int = DEFAULT_LOADERS_PER_RANK,
-              ) -> list[JobSpec]:
+              batch_size: int = DEFAULT_BATCH_SIZE) -> list[JobSpec]:
     """Splits the library into contiguous, balanced jobs.
 
     Every pose lands in exactly one job and library order is preserved.
@@ -153,7 +154,7 @@ def partition(library: list[PoseRecord], n_jobs: int,
     jobs, start = [], 0
     for jid, size in enumerate(balanced_sizes(len(library), n_jobs)):
         jobs.append(JobSpec(jid, tuple(library[start:start + size]),
-                            ranks_per_job, batch_size, loaders_per_rank))
+                            ranks_per_job, batch_size))
         start += size
     return jobs
 
@@ -290,7 +291,15 @@ def run_job(spec: JobSpec, scorer, plan: FaultPlan | None = None,
         preds = []
         for i in range(0, len(clean), spec.batch_size):
             batch = clean[i:i + spec.batch_size]
-            for p, score in zip(batch, scorer(batch)):
+            try:
+                scores = scorer(batch)
+            except Exception as e:
+                logger.exception("job %d attempt %d: scorer raised",
+                                 spec.job_id, attempt)
+                return JobResult(spec.job_id, attempt, "failed",
+                                 failure_reason=f"scorer raised "
+                                                f"{type(e).__name__}: {e}")
+            for p, score in zip(batch, scores):
                 if isinstance(score, Unscorable):
                     result.corrupted.append((pose_key(p), score.reason))
                     continue
@@ -322,10 +331,7 @@ def run_job(spec: JobSpec, scorer, plan: FaultPlan | None = None,
         for rank_id in range(spec.ranks_per_job):
             rows = shards.get(rank_id, [])
             name = f"shard_{spec.job_id:05d}_{rank_id:03d}.jsonl"
-            with open(out_dir / name, "w") as f:
-                for r in sorted(rows, key=lambda r: (r.compound_id,
-                                                     r.target_id, r.pose_id)):
-                    f.write(json.dumps(asdict(r)) + "\n")
+            (out_dir / name).write_text(_shard_text(rows))
             shard_files.append({"file": name, "records": len(rows)})
         with open(out_dir / f"job_{spec.job_id:05d}_manifest.json", "w") as f:
             json.dump({"job_id": spec.job_id, "attempt": attempt,
@@ -368,7 +374,6 @@ def run_campaign(library: list[PoseRecord], scorer, n_jobs: int,
                  parallelism: int = 4, retries: int = DEFAULT_RETRIES,
                  ranks_per_job: int = DEFAULT_RANKS_PER_JOB,
                  batch_size: int = DEFAULT_BATCH_SIZE,
-                 loaders_per_rank: int = DEFAULT_LOADERS_PER_RANK,
                  ) -> tuple[list[PredictionRecord], CampaignReport]:
     """Partitions, runs jobs in parallel, retries failures, reports gaps.
 
@@ -379,8 +384,7 @@ def run_campaign(library: list[PoseRecord], scorer, n_jobs: int,
     """
     plan = plan or FaultPlan()
     t0 = time.perf_counter()
-    jobs = partition(library, n_jobs, ranks_per_job, batch_size,
-                     loaders_per_rank)
+    jobs = partition(library, n_jobs, ranks_per_job, batch_size)
     results: dict[int, JobResult] = {}
     attempts = {j.job_id: 0 for j in jobs}
     abandoned = []
@@ -442,13 +446,39 @@ def run_campaign(library: list[PoseRecord], scorer, n_jobs: int,
     return predictions, report
 
 
+_POSE_ORDER = operator.attrgetter("compound_id", "target_id", "pose_id")
+
+
+def _shard_text(rows: list[PredictionRecord]) -> str:
+    """A shard's JSONL text: one object per record, sorted by pose.
+
+    A record's ``vars`` holds its fields in declaration order, as the
+    dataclass ``__init__`` sets them, and is encoded as it stands, with no
+    ``dataclasses.asdict`` deep copy.
+    """
+    return "".join([json.dumps(vars(r)) + "\n"
+                    for r in sorted(rows, key=_POSE_ORDER)])
+
+
 def load_shards(out_dir) -> list[PredictionRecord]:
-    """Reads every shard a campaign wrote back into prediction records."""
+    """Reads every shard a campaign wrote back into prediction records, in
+    shard-name order and line order within a shard.
+
+    Each shard is parsed in one ``json.loads`` call, as one array of its
+    lines.  Raises ``ValueError`` naming the shard if it cannot be parsed.
+    """
     out = []
     for path in sorted(Path(out_dir).glob("shard_*.jsonl")):
-        with open(path) as f:
-            for line in f:
-                out.append(PredictionRecord(**json.loads(line)))
+        lines = path.read_text().split("\n")
+        if lines[-1] == "":        # after the newline ending the last record
+            lines.pop()
+        try:
+            rows = json.loads("[" + ",".join(lines) + "]")
+            if len(rows) != len(lines):
+                raise ValueError(f"{len(lines)} lines hold {len(rows)} values")
+            out.extend([PredictionRecord(**row) for row in rows])
+        except (ValueError, TypeError) as e:
+            raise ValueError(f"unreadable shard {path}: {e}") from e
     return out
 
 

@@ -55,3 +55,20 @@ def test_future_format_rejected(tmp_path):
         np.savez(f, **arrays)
     with pytest.raises(ValueError, match="unsupported checkpoint format"):
         load_checkpoint(path)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, {"w": np.arange(3.0)})
+
+    def savez_then_fail(f, **arrays):
+        f.write(b"PK\x03\x04 partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"w": np.ones(3)})
+    monkeypatch.undo()
+    params, _, _ = load_checkpoint(path)
+    assert np.array_equal(params["w"], np.arange(3.0))
+    assert [p.name for p in tmp_path.iterdir()] == ["m.npz"]

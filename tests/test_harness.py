@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import logging
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from fusionscreen.harness import (
     balanced_sizes,
     attempt_fails,
     is_corrupted,
+    PredictionRecord,
     partition,
     pose_key,
     rank_assignments,
@@ -60,7 +64,6 @@ class TestPartition:
         spec = JobSpec(0, tuple(library(10)))
         assert spec.ranks_per_job == 16
         assert spec.batch_size == 56
-        assert spec.loaders_per_rank == 12
 
     def test_job_spec_validation(self):
         with pytest.raises(ValueError):
@@ -196,6 +199,137 @@ class TestCampaign:
                                  retries=5)
         assert report.complete
         assert any(a > 1 for a in report.attempts.values())
+
+
+class FailingScorer(SyntheticScorer):
+    """Raises for batches holding one compound, ``times`` times at most."""
+
+    def __init__(self, compound_id, times):
+        super().__init__()
+        self.compound_id, self.left = compound_id, times
+        self.lock = threading.Lock()
+
+    def __call__(self, poses):
+        with self.lock:
+            if self.left and any(p.compound_id == self.compound_id
+                                 for p in poses):
+                self.left -= 1
+                raise RuntimeError(f"scorer broke on {self.compound_id}")
+        return super().__call__(poses)
+
+
+class TestScorerExceptions:
+    def test_exception_fails_only_that_attempt(self):
+        spec = JobSpec(0, tuple(library(10)), ranks_per_job=2)
+        res = run_job(spec, FailingScorer("c00003", 1))
+        assert res.status == "failed"
+        assert res.failure_reason == \
+            "scorer raised RuntimeError: scorer broke on c00003"
+        assert res.predictions == [] and res.corrupted == []
+
+    def test_raising_once_is_retried(self, tmp_path, caplog):
+        lib = library(90, poses_per_compound=3)
+        scorer = FailingScorer("c00012", 1)          # in job 1 of 3
+        with caplog.at_level(logging.ERROR, logger="fusionscreen.harness"):
+            preds, report = run_campaign(lib, scorer, n_jobs=3,
+                                         out_dir=tmp_path, parallelism=2,
+                                         ranks_per_job=2, batch_size=4)
+        assert report.complete
+        assert report.attempts == {0: 1, 1: 2, 2: 1}
+        [logged] = [r for r in caplog.records if r.exc_info]
+        assert "job 1 attempt 0" in logged.getMessage()
+        assert logged.exc_info[0] is RuntimeError
+        on_disk = [pose_key_of(r) for r in harness.load_shards(tmp_path)]
+        assert sorted(on_disk) == sorted(pose_key(p) for p in lib)
+        assert sorted(pose_key_of(r) for r in preds) == sorted(on_disk)
+
+    def test_always_raising_job_is_abandoned(self, tmp_path):
+        lib = library(90, poses_per_compound=3)
+        jobs = partition(lib, 3, ranks_per_job=2)
+        preds, report = run_campaign(lib, FailingScorer("c00012", 99),
+                                     n_jobs=3, out_dir=tmp_path,
+                                     parallelism=2, retries=2,
+                                     ranks_per_job=2, batch_size=4)
+        assert report.abandoned == [1]
+        assert report.attempts[1] == 3
+        assert report.missing_ranges == [{
+            "job_id": 1, "first": pose_key(jobs[1].poses[0]),
+            "last": pose_key(jobs[1].poses[-1]), "count": 30}]
+        manifest = json.loads((tmp_path / harness.MANIFEST_NAME).read_text())
+        assert manifest["missing_ranges"] == report.missing_ranges
+        shard_jobs = {int(p.name.split("_")[1])
+                      for p in tmp_path.glob("shard_*.jsonl")}
+        assert shard_jobs == {0, 2}
+        expected = sorted(pose_key(p) for j in (jobs[0], jobs[2])
+                          for p in j.poses)
+        on_disk = [pose_key_of(r) for r in harness.load_shards(tmp_path)]
+        assert sorted(on_disk) == expected
+        assert sorted(pose_key_of(r) for r in preds) == expected
+
+
+def reference_shard_text(records):
+    """Shard text as ``dataclasses.asdict`` per record, sorted by pose."""
+    rows = sorted(records, key=lambda r: (r.compound_id, r.target_id,
+                                          r.pose_id))
+    return "".join(json.dumps(dataclasses.asdict(r)) + "\n" for r in rows)
+
+
+def reference_load(out_dir):
+    """Shards read back one line at a time."""
+    return [PredictionRecord(**json.loads(line))
+            for path in sorted(Path(out_dir).glob("shard_*.jsonl"))
+            for line in path.read_text().splitlines()]
+
+
+class TestShardIO:
+    PLAN = FaultPlan(record_corruption_rate=0.2, rank_failure_rate=0.3,
+                     seed=2)
+
+    def test_shards_byte_equal_to_asdict_reference(self, tmp_path):
+        # 4 ranks over 3 compounds: the last rank's shard is empty
+        lib = library(12, poses_per_compound=4)
+        res = run_job(JobSpec(2, tuple(lib), ranks_per_job=4, batch_size=5),
+                      SyntheticScorer(seed=1), self.PLAN, attempt=3,
+                      out_dir=tmp_path)
+        assert res.status == "ok" and res.corrupted
+        by_compound = {}
+        for r in res.predictions:
+            by_compound.setdefault(r.compound_id, []).append(r)
+        compounds = sorted(by_compound)
+        assert len(compounds) == 3
+        for rank_id in range(4):
+            records = by_compound[compounds[rank_id]] if rank_id < 3 else []
+            shard = tmp_path / f"shard_00002_{rank_id:03d}.jsonl"
+            assert shard.read_bytes() == \
+                reference_shard_text(records).encode()
+
+    def test_load_shards_round_trip(self, tmp_path):
+        lib = library(200, poses_per_compound=5)
+        preds, report = run_campaign(lib, SyntheticScorer(seed=2), n_jobs=4,
+                                     plan=self.PLAN, out_dir=tmp_path,
+                                     parallelism=2, ranks_per_job=12,
+                                     retries=5)
+        assert report.complete and report.corrupted
+        assert any(p.stat().st_size == 0
+                   for p in tmp_path.glob("shard_*.jsonl"))
+        loaded = harness.load_shards(tmp_path)
+        assert loaded == reference_load(tmp_path)
+        assert sorted(loaded, key=pose_key_of) == \
+            sorted(preds, key=pose_key_of)
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:-9],
+        lambda text: text.replace('"rank_id"', '"rank"', 1),
+        lambda text: text.replace("\n", ", " + text.split("\n")[0] + "\n", 1),
+        lambda text: text + "\n",
+    ], ids=["truncated", "wrong-field", "two-on-a-line", "blank-line"])
+    def test_unreadable_shard_raises_naming_it(self, tmp_path, damage):
+        run_job(JobSpec(0, tuple(library(12, 3)), ranks_per_job=2),
+                SyntheticScorer(), out_dir=tmp_path)
+        shard = tmp_path / "shard_00000_001.jsonl"
+        shard.write_text(damage(shard.read_text()))
+        with pytest.raises(ValueError, match=str(shard)):
+            harness.load_shards(tmp_path)
 
 
 class TestThroughput:
