@@ -654,10 +654,14 @@ def gradient_check(graph: ValueGraph, loss_node: int, epsilon: float = 1e-5) -> 
     """Max relative error between analytic and central-difference gradients.
 
     Requires a deterministic forward: two replays must agree bitwise.  Active
-    dropout or train-mode batch-norm therefore gets rejected.
+    dropout therefore gets rejected, and train-mode batch-norm is rejected
+    before any replay can move its running stats.
     """
     if epsilon <= 0:
         raise GraphError("epsilon must be positive")
+    if graph.training and any(n.op == "batch-norm" for n in graph.nodes):
+        raise GraphError("train-mode batch-norm; build the tape in eval mode "
+                         "before gradient checking")
     graph.forward()
     first = graph.nodes[loss_node].value.copy()
     graph.forward()

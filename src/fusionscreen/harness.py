@@ -4,14 +4,16 @@ A screening campaign splits a pose library into contiguous jobs; each job
 scores its poses across a fixed number of ranks, gathers every rank's
 predictions, redistributes them by compound, and writes one output shard per
 rank plus a manifest.  Writes are all-or-nothing: a job that fails at any
-point before the gather leaves no shards behind; a scorer that raises fails
-only that attempt.  The campaign driver retries failed jobs up to a retry
-budget and records any ranges still missing afterwards, so within one
-campaign no prediction is written twice.  Across campaigns this does not yet
-hold: a re-run into a directory that holds a different job layout overwrites
-only the files whose names it shares, and the earlier layout's other shards
-and manifests stay beside its own, so the directory then holds some poses
-twice (ROADMAP item 3).
+point before the gather leaves no shards behind; a scorer that raises or
+returns the wrong number of scores fails only that attempt.  Ranks run one
+after another inside a job and only split its poses and label its shards.
+The campaign driver retries failed jobs up to a retry budget and records any
+ranges still missing afterwards, so within one campaign no prediction is
+written twice.  Across campaigns this does not yet hold: a re-run into a
+directory holding a different job layout overwrites only the files whose
+names it shares, and the earlier layout's other shards and manifests stay
+beside its own, so the directory then holds some poses twice (ROADMAP item 3
+tracks the fix).
 
 Faults are injected deterministically from a seed: record corruption is a
 property of the pose (stable across attempts), rank and job failures are
@@ -299,6 +301,13 @@ def run_job(spec: JobSpec, scorer, plan: FaultPlan | None = None,
                 return JobResult(spec.job_id, attempt, "failed",
                                  failure_reason=f"scorer raised "
                                                 f"{type(e).__name__}: {e}")
+            if len(scores) != len(batch):
+                reason = (f"scorer returned {len(scores)} scores for "
+                          f"{len(batch)} poses")
+                logger.warning("job %d attempt %d failed: %s",
+                               spec.job_id, attempt, reason)
+                return JobResult(spec.job_id, attempt, "failed",
+                                 failure_reason=reason)
             for p, score in zip(batch, scores):
                 if isinstance(score, Unscorable):
                     result.corrupted.append((pose_key(p), score.reason))

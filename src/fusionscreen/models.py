@@ -9,11 +9,14 @@ graph.  Three ways to combine them:
 * coherent -- same architecture, gradients flow into both heads
 
 Parameters are plain ``dict[str, np.ndarray]``; every forward pass builds a
-fresh :class:`~fusionscreen.autodiff.ValueGraph` tape.
+fresh :class:`~fusionscreen.autodiff.ValueGraph` tape.  ``train`` and
+``train_head`` share one minibatch loop, which restores the best-validation
+parameters together with the batch-norm running statistics of that epoch.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field, asdict
 
@@ -459,12 +462,7 @@ class FusionModel:
         _, lat_g = _graph_tape(tape, self.graph_cfg, graph_batch, "graph")
         pred = _fusion_tape(tape, self.fusion_cfg, lat_g, lat_v, "fusion",
                             training)
-        loss = None
-        if labels is not None:
-            y = g.input(np.asarray(labels, dtype=np.float64).reshape(-1, 1),
-                        "labels")
-            loss = g.apply("mse-loss", [pred, y])
-        return g, pred, loss, tape.pnodes
+        return g, pred, _mse_loss(g, pred, labels), tape.pnodes
 
     # -- prediction ------------------------------------------------------
     def predict_batch(self, items, batch_seed: int = 0):
@@ -485,28 +483,24 @@ class FusionModel:
                 errors.append((i, reason))
         if not valid:
             return preds, errors
-        vox = np.stack([items[i][0].occupancy for i in valid])
-        gb = batch_graphs([items[i][1] for i in valid])
+        grids = [items[i][0] for i in valid]
+        graphs = [items[i][1] for i in valid]
         if self.fusion_cfg.mode == "late":
-            scores = self._late_predict(vox, gb)
+            scores = late_fusion_predict(
+                voxel_head_forward(self.voxel_params, self.voxel_cfg, grids,
+                                   bn_state=self.bn_state)[0],
+                graph_head_forward(self.graph_params, self.graph_cfg,
+                                   graphs)[0])
         else:
-            g, pred, _, _ = self.build_tape(vox, gb, training=False,
-                                            seed=batch_seed)
-            scores = g.value(pred)[:, 0]
+            scores = self._eval_tape_predict(grids, graphs, batch_seed)
         for i, s in zip(valid, scores):
             preds[i] = float(s)
         return preds, errors
 
-    def _late_predict(self, vox, gb):
-        g = ValueGraph(training=False)
-        tape = _Tape(g)
-        tape.bind(self.voxel_params, "voxel", False)
-        tape.bind(self.graph_params, "graph", False)
-        x = g.input(vox, "voxels")
-        pv, _ = _voxel_tape(tape, self.voxel_cfg, x, "voxel", False,
-                            self.bn_state)
-        pg, _ = _graph_tape(tape, self.graph_cfg, gb, "graph")
-        return late_fusion_predict(g.value(pv)[:, 0], g.value(pg)[:, 0])
+    def _eval_tape_predict(self, grids, graphs, seed: int = 0) -> np.ndarray:
+        vox = np.stack([v.occupancy for v in grids])
+        g, pred, _, _ = self.build_tape(vox, batch_graphs(graphs), seed=seed)
+        return g.value(pred)[:, 0]
 
     def _validate_item(self, item) -> str | None:
         try:
@@ -529,28 +523,27 @@ class FusionModel:
         return None
 
     # -- parameter bookkeeping -------------------------------------------
+    def _param_groups(self) -> dict[str, dict[str, np.ndarray]]:
+        return {"voxel": self.voxel_params, "graph": self.graph_params,
+                "fusion": self.fusion_params}
+
     def all_params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for prefix, ps in (("voxel", self.voxel_params),
-                           ("graph", self.graph_params),
-                           ("fusion", self.fusion_params)):
-            for k, v in ps.items():
-                out[f"{prefix}/{k}"] = v
-        return out
+        return {f"{prefix}/{k}": v
+                for prefix, ps in self._param_groups().items()
+                for k, v in ps.items()}
 
     def set_params(self, flat: dict[str, np.ndarray]) -> None:
+        groups = self._param_groups()
         for full, arr in flat.items():
             prefix, name = full.split("/", 1)
-            target = {"voxel": self.voxel_params, "graph": self.graph_params,
-                      "fusion": self.fusion_params}[prefix]
-            target[name] = np.array(arr, dtype=np.float64)
+            groups[prefix][name] = np.array(arr, dtype=np.float64)
 
     def save(self, path, optimizer: Optimizer | None = None) -> None:
         meta = {
             "model": "fusion",
             "voxel_cfg": asdict(self.voxel_cfg),
             "graph_cfg": asdict(self.graph_cfg),
-            "fusion_cfg": _fusion_cfg_dict(self.fusion_cfg),
+            "fusion_cfg": asdict(self.fusion_cfg),
             "seed": self.seed,
             "heads_pretrained": self.heads_pretrained,
         }
@@ -568,14 +561,6 @@ class FusionModel:
         return model
 
 
-def _fusion_cfg_dict(cfg: FusionConfig) -> dict:
-    d = asdict(cfg)
-    d["optimizer"] = {"kind": cfg.optimizer.kind,
-                      "learning_rate": cfg.optimizer.learning_rate,
-                      "coefficients": cfg.optimizer.coefficients}
-    return d
-
-
 def _fusion_cfg_from_dict(d: dict) -> FusionConfig:
     d = dict(d)
     o = d.pop("optimizer")
@@ -587,17 +572,37 @@ def _fusion_cfg_from_dict(d: dict) -> FusionConfig:
 # individual head forward + training (produces checkpoints for mid fusion)
 # ---------------------------------------------------------------------------
 
+def _head_tape(kind: str, params: dict, cfg, x, training: bool = False,
+               seed: int = 0, bn_state: dict | None = None, labels=None):
+    """One head's tape over ``x``, a voxel batch or a GraphBatch.
+
+    Returns (graph, pred_node, latent_node, loss_node_or_None, name->nid map).
+    """
+    g = ValueGraph(seed=seed, training=training)
+    tape = _Tape(g)
+    tape.bind(params, kind, training)
+    if kind == "voxel":
+        pred, lat = _voxel_tape(tape, cfg, g.input(x, "voxels"), "voxel",
+                                training, {} if bn_state is None else bn_state)
+    else:
+        pred, lat = _graph_tape(tape, cfg, x, "graph")
+    return g, pred, lat, _mse_loss(g, pred, labels), tape.pnodes
+
+
+def _mse_loss(g: ValueGraph, pred: int, labels) -> int | None:
+    if labels is None:
+        return None
+    y = g.input(np.asarray(labels, dtype=np.float64).reshape(-1, 1), "labels")
+    return g.apply("mse-loss", [pred, y])
+
+
 def voxel_head_forward(params: dict, cfg: VoxelHeadConfig, grids,
                        training: bool = False, seed: int = 0,
                        bn_state: dict | None = None):
     """Returns (predictions [B], latents [B, latent_width])."""
-    vox = _stack_grids(grids, cfg)
-    g = ValueGraph(seed=seed, training=training)
-    tape = _Tape(g)
-    tape.bind(params, "voxel", True)
-    x = g.input(vox, "voxels")
-    pred, lat = _voxel_tape(tape, cfg, x, "voxel", training,
-                            bn_state if bn_state is not None else {})
+    g, pred, lat, _, _ = _head_tape("voxel", params, cfg,
+                                    _stack_grids(grids, cfg), training, seed,
+                                    bn_state)
     return g.value(pred)[:, 0], g.value(lat)
 
 
@@ -606,11 +611,8 @@ def graph_head_forward(params: dict, cfg: GraphHeadConfig, graphs,
     """Returns (predictions [B], latents [B, gather_width_noncov])."""
     if isinstance(graphs, ComplexGraph):
         graphs = [graphs]
-    gb = batch_graphs(graphs)
-    g = ValueGraph(seed=seed, training=training)
-    tape = _Tape(g)
-    tape.bind(params, "graph", True)
-    pred, lat = _graph_tape(tape, cfg, gb, "graph")
+    g, pred, lat, _, _ = _head_tape("graph", params, cfg, batch_graphs(graphs),
+                                    training, seed)
     return g.value(pred)[:, 0], g.value(lat)
 
 
@@ -651,19 +653,67 @@ def featurize(complexes: list[SyntheticComplex], voxel_cfg: VoxelHeadConfig,
     return out
 
 
-def _eval_mse(model: FusionModel, items: list[FeaturizedItem],
-              chunk: int = 256) -> float:
+def _eval_mse(predict, items: list[FeaturizedItem], chunk: int = 256) -> float:
+    """Chunked MSE of ``predict(part)``; a FusionModel predicts by eval tape."""
+    if isinstance(predict, FusionModel):
+        model = predict
+        predict = lambda part: model._eval_tape_predict(
+            [it.grid for it in part], [it.graph for it in part])
     se, n = 0.0, 0
     for i in range(0, len(items), chunk):
         part = items[i:i + chunk]
-        vox = np.stack([it.grid.occupancy for it in part])
-        gb = batch_graphs([it.graph for it in part])
-        g, pred, _, _ = model.build_tape(vox, gb, training=False)
-        p = g.value(pred)[:, 0]
         y = np.array([it.label for it in part])
-        se += float(((p - y) ** 2).sum())
+        se += float(((predict(part) - y) ** 2).sum())
         n += len(part)
     return se / n
+
+
+def _fit(groups, bn_state, step, predict, train_items, val_items,
+         epochs: int, batch_size: int, optimizer_cfg: OptimizerConfig,
+         rng) -> list[dict]:
+    """The minibatch loop of ``train`` and ``train_head``; returns history.
+
+    ``groups`` maps each tape prefix to the params dict it names, and
+    ``step(part, rng)`` returns one batch's (graph, loss_node, name->nid).
+    The best epoch's params and batch-norm stats are restored in place.
+    """
+    opt = Optimizer(optimizer_cfg)
+    history, best = [], (np.inf, None)
+    for epoch in range(epochs):
+        order = rng.permutation(len(train_items))
+        train_se = 0.0
+        for lo in range(0, len(order), batch_size):
+            part = [train_items[i] for i in order[lo:lo + batch_size]]
+            train_se += _fit_step(groups, opt, step, part, rng) * len(part)
+        val_mse = _eval_mse(predict, val_items)
+        history.append({"epoch": epoch, "train_mse": train_se / len(order),
+                        "val_mse": val_mse})
+        if val_mse < best[0]:
+            best = (val_mse, copy.deepcopy((groups, bn_state)))
+    if best[1] is not None:
+        for live, saved in zip((groups, bn_state), best[1]):
+            for k, d in saved.items():
+                live[k].update(d)
+    return history
+
+
+def _fit_step(groups, opt: Optimizer, step, part, rng) -> float:
+    # a function of its own, so the batch's tape is freed when it returns
+    g, loss, pnodes = step(part, rng)
+    grads = g.backward(loss)
+    named = {name: grads[nid] for name, nid in pnodes.items()
+             if g.nodes[nid].trainable}
+    current = {name: g.nodes[pnodes[name]].value for name in named}
+    for full, arr in opt.step(current, named).items():
+        prefix, name = full.split("/", 1)
+        groups[prefix][name] = arr
+    return float(g.value(loss))
+
+
+def _augmented_voxels(part, aug_seed: int) -> np.ndarray:
+    return np.stack([
+        rotate_augment(it.grid, aug_seed + j, AUGMENT_PROBABILITY).occupancy
+        for j, it in enumerate(part)])
 
 
 def train(model: FusionModel, train_set, val_set, cfg: FusionConfig | None = None,
@@ -675,7 +725,8 @@ def train(model: FusionModel, train_set, val_set, cfg: FusionConfig | None = Non
     come from trained checkpoints; coherent mode trains everything.  Voxel
     inputs are rotation-augmented during training only.  Returns
     (model, history) where history has one (epoch, train_mse, val_mse) row per
-    epoch; the best-validation parameters are restored at the end.
+    epoch; the best-validation parameters and batch-norm running statistics
+    are restored at the end.
     """
     cfg = cfg or model.fusion_cfg
     if cfg.mode == "late":
@@ -684,43 +735,20 @@ def train(model: FusionModel, train_set, val_set, cfg: FusionConfig | None = Non
         raise ValueError("mid fusion requires trained head checkpoints")
     train_items = _ensure_featurized(model, train_set)
     val_items = _ensure_featurized(model, val_set)
-    freeze = cfg.mode == "mid"
-    batch_size = cfg.batch_size
-    rng = np.random.default_rng(seed)
-    opt = Optimizer(cfg.optimizer)
-    history = []
-    best = (np.inf, None)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(train_items))
-        train_se, seen = 0.0, 0
-        for lo in range(0, len(order), batch_size):
-            idx = order[lo:lo + batch_size]
-            part = [train_items[i] for i in idx]
-            aug_seed = int(rng.integers(0, 2 ** 31 - 1))
-            vox = np.stack([
-                rotate_augment(it.grid, aug_seed + j, AUGMENT_PROBABILITY).occupancy
-                for j, it in enumerate(part)])
-            gb = batch_graphs([it.graph for it in part])
-            labels = np.array([it.label for it in part])
-            step_seed = int(rng.integers(0, 2 ** 31 - 1))
-            g, _, loss, pnodes = model.build_tape(
-                vox, gb, training=True, labels=labels, seed=step_seed,
-                freeze_heads=freeze)
-            grads = g.backward(loss)
-            named = {name: grads[nid] for name, nid in pnodes.items()
-                     if g.nodes[nid].trainable}
-            current = {name: g.nodes[pnodes[name]].value for name in named}
-            updated = opt.step(current, named)
-            model.set_params(updated)
-            train_se += float(g.value(loss)) * len(part)
-            seen += len(part)
-        val_mse = _eval_mse(model, val_items)
-        history.append({"epoch": epoch, "train_mse": train_se / seen,
-                        "val_mse": val_mse})
-        if val_mse < best[0]:
-            best = (val_mse, {k: v.copy() for k, v in model.all_params().items()})
-    if best[1] is not None:
-        model.set_params(best[1])
+
+    def step(part, rng):
+        aug_seed = int(rng.integers(0, 2 ** 31 - 1))
+        step_seed = int(rng.integers(0, 2 ** 31 - 1))
+        g, _, loss, pnodes = model.build_tape(
+            _augmented_voxels(part, aug_seed),
+            batch_graphs([it.graph for it in part]), training=True,
+            labels=np.array([it.label for it in part]), seed=step_seed,
+            freeze_heads=cfg.mode == "mid")
+        return g, loss, pnodes
+
+    history = _fit(model._param_groups(), model.bn_state, step, model,
+                   train_items, val_items, cfg.epochs, cfg.batch_size,
+                   cfg.optimizer, np.random.default_rng(seed))
     return model, history
 
 
@@ -740,63 +768,29 @@ def train_head(kind: str, params: dict, cfg, train_items, val_items,
     """
     if kind not in ("voxel", "graph"):
         raise ValueError(f"unknown head kind {kind!r}")
-    rng = np.random.default_rng(seed)
-    opt = Optimizer(optimizer_cfg)
     params = {k: v.copy() for k, v in params.items()}
-    history = []
-    best = (np.inf, None)
     bn_state: dict = {}
-    for epoch in range(epochs):
-        order = rng.permutation(len(train_items))
-        train_se, seen = 0.0, 0
-        for lo in range(0, len(order), batch_size):
-            part = [train_items[i] for i in order[lo:lo + batch_size]]
-            labels = np.array([it.label for it in part]).reshape(-1, 1)
-            step_seed = int(rng.integers(0, 2 ** 31 - 1))
-            g = ValueGraph(seed=step_seed, training=True)
-            tape = _Tape(g)
-            tape.bind(params, kind, True)
-            if kind == "voxel":
-                aug_seed = int(rng.integers(0, 2 ** 31 - 1))
-                vox = np.stack([
-                    (rotate_augment(it.grid, aug_seed + j, AUGMENT_PROBABILITY)
-                     if augment else it.grid).occupancy
-                    for j, it in enumerate(part)])
-                x = g.input(vox, "voxels")
-                pred, _ = _voxel_tape(tape, cfg, x, "voxel", True, bn_state)
-            else:
-                gb = batch_graphs([it.graph for it in part])
-                pred, _ = _graph_tape(tape, cfg, gb, "graph")
-            y = g.input(labels, "labels")
-            loss = g.apply("mse-loss", [pred, y])
-            grads = g.backward(loss)
-            named = {f"{k}": grads[nid] for k, nid in tape.pnodes.items()}
-            current = {k: g.nodes[nid].value for k, nid in tape.pnodes.items()}
-            params_flat = opt.step(current, named)
-            params = {k.split("/", 1)[1]: v for k, v in params_flat.items()}
-            train_se += float(g.value(loss)) * len(part)
-            seen += len(part)
-        val_mse = _eval_head_mse(kind, params, cfg, val_items, bn_state)
-        history.append({"epoch": epoch, "train_mse": train_se / seen,
-                        "val_mse": val_mse})
-        if val_mse < best[0]:
-            best = (val_mse, {k: v.copy() for k, v in params.items()})
-    if best[1] is not None:
-        params = best[1]
-    return params, history
 
-
-def _eval_head_mse(kind, params, cfg, items, bn_state, chunk: int = 256) -> float:
-    se, n = 0.0, 0
-    for i in range(0, len(items), chunk):
-        part = items[i:i + chunk]
-        y = np.array([it.label for it in part])
+    def step(part, rng):
+        step_seed = int(rng.integers(0, 2 ** 31 - 1))
         if kind == "voxel":
-            p, _ = voxel_head_forward(params, cfg, [it.grid for it in part],
-                                      training=False, bn_state=bn_state)
+            aug_seed = int(rng.integers(0, 2 ** 31 - 1))
+            x = (_augmented_voxels(part, aug_seed) if augment
+                 else np.stack([it.grid.occupancy for it in part]))
         else:
-            p, _ = graph_head_forward(params, cfg, [it.graph for it in part],
-                                      training=False)
-        se += float(((p - y) ** 2).sum())
-        n += len(part)
-    return se / n
+            x = batch_graphs([it.graph for it in part])
+        g, _, _, loss, pnodes = _head_tape(kind, params, cfg, x, True,
+                                           step_seed, bn_state,
+                                           [it.label for it in part])
+        return g, loss, pnodes
+
+    def predict(part):
+        if kind == "voxel":
+            return voxel_head_forward(params, cfg, [it.grid for it in part],
+                                      bn_state=bn_state)[0]
+        return graph_head_forward(params, cfg, [it.graph for it in part])[0]
+
+    history = _fit({kind: params}, bn_state, step, predict, train_items,
+                   val_items, epochs, batch_size, optimizer_cfg,
+                   np.random.default_rng(seed))
+    return params, history

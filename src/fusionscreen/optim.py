@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["OptimizerConfig", "Optimizer", "optimizer_step"]
+__all__ = ["OptimizerConfig", "Optimizer"]
 
 _KINDS = ("adam", "adamw", "rmsprop", "adadelta")
 
@@ -102,14 +102,3 @@ class Optimizer:
         for full, arr in flat.items():
             pname, key = full.rsplit("::", 1)
             self.state.setdefault(pname, {})[key] = np.array(arr, dtype=np.float64)
-
-
-def optimizer_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                   cfg: OptimizerConfig, opt: Optimizer | None = None,
-                   ) -> tuple[dict[str, np.ndarray], Optimizer]:
-    """One update step; pass the returned optimizer back in to persist state."""
-    if opt is None:
-        opt = Optimizer(cfg)
-    elif opt.cfg != cfg:
-        raise ValueError("optimizer state belongs to a different config")
-    return opt.step(params, grads), opt

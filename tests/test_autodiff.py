@@ -283,6 +283,19 @@ class TestGradientCheck:
         with pytest.raises(GraphError):
             gradient_check(g, loss)
 
+    def test_rejects_train_mode_batch_norm_untouched(self, rng):
+        g = ValueGraph(training=True)
+        x = g.input(rng.normal(size=(6, 3)))
+        bn = g.apply("batch-norm", [x, g.parameter(np.ones(3)),
+                                    g.parameter(np.zeros(3))])
+        loss = g.apply("mse-loss", [bn, g.input(rng.normal(size=(6, 3)))])
+        state = g.nodes[bn].attrs["state"]
+        before = (state["mean"].copy(), state["var"].copy())
+        with pytest.raises(GraphError, match="batch-norm"):
+            gradient_check(g, loss)
+        assert np.array_equal(state["mean"], before[0])
+        assert np.array_equal(state["var"], before[1])
+
     def test_rejects_bad_epsilon(self):
         g, loss = self.build_mlp(0)
         with pytest.raises(GraphError):

@@ -267,6 +267,62 @@ class TestScorerExceptions:
         assert sorted(pose_key_of(r) for r in preds) == expected
 
 
+class ShortScorer(SyntheticScorer):
+    """Drops the last score of batches holding one compound, ``times`` times."""
+
+    def __init__(self, compound_id, times):
+        super().__init__()
+        self.compound_id, self.left = compound_id, times
+        self.lock = threading.Lock()
+
+    def __call__(self, poses):
+        scores = super().__call__(poses)
+        with self.lock:
+            if self.left and any(p.compound_id == self.compound_id
+                                 for p in poses):
+                self.left -= 1
+                return scores[:-1]
+        return scores
+
+
+class TestShortScoreLists:
+    def test_short_list_fails_the_attempt(self, tmp_path):
+        spec = JobSpec(0, tuple(library(10)), ranks_per_job=1, batch_size=5)
+        res = run_job(spec, ShortScorer("c00003", 1), out_dir=tmp_path)
+        assert res.status == "failed"
+        assert res.failure_reason == "scorer returned 4 scores for 5 poses"
+        assert res.predictions == [] and res.corrupted == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_short_once_is_retried(self, tmp_path):
+        lib = library(90, poses_per_compound=3)
+        preds, report = run_campaign(lib, ShortScorer("c00012", 1), n_jobs=3,
+                                     out_dir=tmp_path, parallelism=2,
+                                     ranks_per_job=2, batch_size=4)
+        assert report.complete
+        assert report.attempts == {0: 1, 1: 2, 2: 1}
+        on_disk = [pose_key_of(r) for r in harness.load_shards(tmp_path)]
+        assert sorted(on_disk) == sorted(pose_key(p) for p in lib)
+        assert sorted(pose_key_of(r) for r in preds) == sorted(on_disk)
+
+    def test_always_short_job_is_abandoned(self, tmp_path):
+        lib = library(90, poses_per_compound=3)
+        jobs = partition(lib, 3, ranks_per_job=2)
+        preds, report = run_campaign(lib, ShortScorer("c00012", 99),
+                                     n_jobs=3, out_dir=tmp_path,
+                                     parallelism=2, retries=2,
+                                     ranks_per_job=2, batch_size=4)
+        assert not report.complete
+        assert report.abandoned == [1]
+        assert report.missing_ranges == [{
+            "job_id": 1, "first": pose_key(jobs[1].poses[0]),
+            "last": pose_key(jobs[1].poses[-1]), "count": 30}]
+        expected = sorted(pose_key(p) for j in (jobs[0], jobs[2])
+                          for p in j.poses)
+        on_disk = [pose_key_of(r) for r in harness.load_shards(tmp_path)]
+        assert sorted(on_disk) == expected
+
+
 def reference_shard_text(records):
     """Shard text as ``dataclasses.asdict`` per record, sorted by pose."""
     rows = sorted(records, key=lambda r: (r.compound_id, r.target_id,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -214,17 +216,23 @@ class TestTraining:
         assert len(history) == 4
         assert history[-1]["train_mse"] < history[0]["train_mse"]
 
+    @pytest.mark.parametrize("batch_norm", [False, True])
     def test_training_restores_best_validation_params(self, toy_voxel_cfg,
                                                       toy_graph_cfg,
-                                                      toy_items):
+                                                      toy_items, batch_norm):
+        # a learning rate high enough that validation turns back up, so the
+        # best epoch is not the last and the restore is what is tested
         cfg = FusionConfig(mode="coherent", n_fusion_layers=3,
-                           fusion_dense_nodes=6, optimizer=self.opt(),
-                           batch_size=8, epochs=3)
-        m = FusionModel(toy_voxel_cfg, toy_graph_cfg, cfg, seed=2)
+                           fusion_dense_nodes=6,
+                           optimizer=OptimizerConfig("adam", 3e-2),
+                           batch_size=4, epochs=4)
+        vcfg = replace(toy_voxel_cfg, batch_norm=batch_norm)
+        m = FusionModel(vcfg, toy_graph_cfg, cfg, seed=2)
         m, history = train(m, toy_items[:12], toy_items[12:], cfg, seed=0)
-        best = min(h["val_mse"] for h in history)
+        val = [h["val_mse"] for h in history]
+        assert int(np.argmin(val)) < len(val) - 1
         final = models._eval_mse(m, toy_items[12:])
-        assert final == pytest.approx(best, rel=1e-9)
+        assert final == pytest.approx(min(val), rel=1e-9)
 
     def test_late_mode_training_rejected(self, toy_voxel_cfg, toy_graph_cfg,
                                          toy_items):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fusionscreen.optim import Optimizer, OptimizerConfig, optimizer_step
+from fusionscreen.optim import Optimizer, OptimizerConfig
 
 
 def reference_adam(w, grads, lr, b1=0.9, b2=0.999, eps=1e-8, wd=None):
@@ -140,18 +140,3 @@ class TestPlumbing:
         a = opt.step(dict(w), {"w": g})["w"]
         b = clone.step(dict(w), {"w": g})["w"]
         assert np.array_equal(a, b)
-
-    def test_optimizer_step_wrapper_persists_state(self, rng):
-        cfg = OptimizerConfig("adam", 0.01)
-        w = {"w": rng.normal(size=3)}
-        w, opt = optimizer_step(w, {"w": rng.normal(size=3)}, cfg)
-        assert opt.step_count == 1
-        w, opt = optimizer_step(w, {"w": rng.normal(size=3)}, cfg, opt)
-        assert opt.step_count == 2
-
-    def test_optimizer_step_config_mismatch(self, rng):
-        cfg = OptimizerConfig("adam", 0.01)
-        w, opt = optimizer_step({"w": np.zeros(2)}, {"w": np.ones(2)}, cfg)
-        with pytest.raises(ValueError):
-            optimizer_step(w, {"w": np.ones(2)}, OptimizerConfig("adam", 0.02),
-                           opt)
