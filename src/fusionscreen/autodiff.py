@@ -10,6 +10,16 @@ inputs requires one.  ``backward`` computes only those gradients: an input
 leaf such as the voxel grid, and every node that depends on inputs alone,
 gets none, so the first convolution never computes its input gradient.
 
+Memory lifetime.  ``backward`` drops each intermediate gradient as soon as
+its node's backward has run, so only parameter gradients survive the call,
+and op kernels allocate only their output (biases are added in place,
+``elementwise-add`` sums without stacking its inputs, and ``sigmoid`` and
+``tanh`` differentiate from their stored output).  ``models._fit`` keeps one
+step's tape alive until the next step's tape is built.  Together these keep
+glibc from trimming the heap between training steps and faulting it back
+in: a 2-epoch criterion-3 ``models.train`` call on 1,700 complexes took about
+650k minor page faults before them and about 26k (on a first call) after.
+
 conv3d is a same-padded, stride-1 correlation computed tile by tile: each
 tile is a channel-major im2col block ``[C*k^3, positions]`` covering whole
 samples, or depth slabs of one sample when a sample does not fit, and one
@@ -168,8 +178,11 @@ class ValueGraph:
         if loss.requires_grad:
             grads[loss_node] = np.ones_like(loss.value)
         for node in reversed(self.nodes[: loss_node + 1]):
-            g = grads.get(node.nid)
-            if g is None or node.op == "leaf":
+            if node.op == "leaf":
+                continue
+            # popped: an intermediate gradient dies once its node is done
+            g = grads.pop(node.nid, None)
+            if g is None:
                 continue
             _, bwd = _OPS[node.op]
             in_grads = bwd(node, [self.nodes[i].value for i in node.inputs], g)
@@ -207,7 +220,9 @@ def _dense():
             f"input {x.shape} incompatible with weight {w.shape}",
         )
         _check(b.shape == (w.shape[1],), "dense", f"bias {b.shape} vs weight {w.shape}")
-        return x @ w + b
+        out = x @ w
+        out += b
+        return out
 
     def bwd(node, vals, g):
         x, w, _ = vals
@@ -305,7 +320,9 @@ def _conv3d():
             f"input channels {x.shape} vs kernel {w.shape}",
         )
         _check(b.shape == (w.shape[0],), "conv3d", f"bias {b.shape} vs kernel {w.shape}")
-        return _correlate(x, w) + b[None, :, None, None, None]
+        out = _correlate(x, w)
+        out += b[None, :, None, None, None]
+        return out
 
     def bwd(node, vals, g):
         x, w, _ = vals
@@ -363,26 +380,28 @@ def _maxpool3d():
 
 
 def _unary(f, df):
+    # df(x, y) is the derivative at input x with output y = f(x)
     def fwd(node, vals, graph):
         _check(len(vals) == 1, node.op, "expects one input")
         return f(vals[0])
 
     def bwd(node, vals, g):
-        return [g * df(vals[0])]
+        return [g * df(vals[0], node.value)]
 
     return fwd, bwd
 
 
 @_op("relu")
 def _relu():
-    return _unary(lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(np.float64))
+    return _unary(lambda x: np.maximum(x, 0.0),
+                  lambda x, y: (x > 0).astype(np.float64))
 
 
 @_op("leaky-relu")
 def _leaky_relu():
     return _unary(
         lambda x: np.where(x > 0, x, LEAKY_SLOPE * x),
-        lambda x: np.where(x > 0, 1.0, LEAKY_SLOPE),
+        lambda x, y: np.where(x > 0, 1.0, LEAKY_SLOPE),
     )
 
 
@@ -391,7 +410,7 @@ def _selu():
     def f(x):
         return SELU_LAMBDA * np.where(x > 0, x, SELU_ALPHA * np.expm1(x))
 
-    def df(x):
+    def df(x, y):
         return SELU_LAMBDA * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(x))
 
     return _unary(f, df)
@@ -399,15 +418,13 @@ def _selu():
 
 @_op("sigmoid")
 def _sigmoid():
-    def f(x):
-        return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-    return _unary(f, lambda x: f(x) * (1.0 - f(x)))
+    return _unary(lambda x: 0.5 * (1.0 + np.tanh(0.5 * x)),
+                  lambda x, y: y * (1.0 - y))
 
 
 @_op("tanh")
 def _tanh():
-    return _unary(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2)
+    return _unary(np.tanh, lambda x, y: 1.0 - y ** 2)
 
 
 @_op("batch-norm")
@@ -526,7 +543,11 @@ def _nary_same_shape(opname, vals):
 def _add():
     def fwd(node, vals, graph):
         _nary_same_shape("elementwise-add", vals)
-        return np.sum(vals, axis=0)
+        # summed left to right in place, as np.sum(vals, axis=0) sums a stack
+        out = vals[0] + vals[1]
+        for v in vals[2:]:
+            out += v
+        return out
 
     def bwd(node, vals, g):
         return [g] * len(vals)

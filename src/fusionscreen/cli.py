@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import logging
+import resource
 import sys
 import time
 from pathlib import Path
@@ -145,6 +146,7 @@ def cmd_train(args) -> int:
     val_items = _featurize_dataset(val_cx, voxel_cfg, graph_cfg)
 
     out.mkdir(parents=True, exist_ok=True)
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     artifacts = []
     if args.mode in ("voxel", "graph"):
@@ -188,12 +190,17 @@ def cmd_train(args) -> int:
         model.save(ckpt)
         artifacts.append(ckpt.name)
     elapsed = time.perf_counter() - t0
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    timings = {"train_s": elapsed,
+               "minor_page_faults": usage.ru_minflt - faults0,
+               # ru_maxrss is in KiB on Linux: the process's peak so far
+               "peak_rss_mb": usage.ru_maxrss / 1024}
     hist_path = out / "history.json"
     with open(hist_path, "w") as f:
         json.dump(history, f, indent=2)
     artifacts.append(hist_path.name)
     _write_manifest(out, "train", vars(args) | {"out": str(out)},
-                    artifacts, {"train_s": elapsed})
+                    artifacts, timings)
     final = history[-1] if history else {}
     print(f"trained {args.mode} for {len(history)} epochs; "
           f"final val MSE {final.get('val_mse', float('nan')):.4f}")

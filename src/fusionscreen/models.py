@@ -12,6 +12,7 @@ Parameters are plain ``dict[str, np.ndarray]``; every forward pass builds a
 fresh :class:`~fusionscreen.autodiff.ValueGraph` tape.  ``train`` and
 ``train_head`` share one minibatch loop, which restores the best-validation
 parameters together with the batch-norm running statistics of that epoch.
+``FusionModel.save`` and ``load`` carry those statistics with the parameters.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .optim import Optimizer, OptimizerConfig
 logger = logging.getLogger(__name__)
 
 AUGMENT_PROBABILITY = 0.1  # per-axis chance of a 90-degree rotation
+_BN_PREFIX = "bn_state/"  # checkpoint names of batch-norm running statistics
 
 _ACTIVATIONS = ("relu", "leaky-relu", "selu")
 
@@ -547,7 +549,12 @@ class FusionModel:
             "seed": self.seed,
             "heads_pretrained": self.heads_pretrained,
         }
-        save_checkpoint(path, self.all_params(), optimizer, meta)
+        # batch-norm running statistics ride along as "bn_state/<key>/<stat>"
+        arrays = self.all_params()
+        arrays.update({f"{_BN_PREFIX}{key}/{stat}": arr
+                       for key, stats in self.bn_state.items()
+                       for stat, arr in stats.items()})
+        save_checkpoint(path, arrays, optimizer, meta)
 
     @classmethod
     def load(cls, path) -> "FusionModel":
@@ -557,6 +564,9 @@ class FusionModel:
                     _fusion_cfg_from_dict(meta["fusion_cfg"]),
                     seed=meta.get("seed", 0),
                     heads_pretrained=meta.get("heads_pretrained", False))
+        for full in [k for k in params if k.startswith(_BN_PREFIX)]:
+            key, stat = full[len(_BN_PREFIX):].split("/")
+            model.bn_state.setdefault(key, {})[stat] = params.pop(full)
         model.set_params(params)
         return model
 
@@ -684,7 +694,11 @@ def _fit(groups, bn_state, step, predict, train_items, val_items,
         train_se = 0.0
         for lo in range(0, len(order), batch_size):
             part = [train_items[i] for i in order[lo:lo + batch_size]]
-            train_se += _fit_step(groups, opt, step, part, rng) * len(part)
+            # The previous step's tape is freed only once this one is built,
+            # so the heap never shrinks between steps (see _fit_step).
+            tape = step(part, rng)
+            train_se += _fit_step(groups, opt, *tape) * len(part)
+        tape = None
         val_mse = _eval_mse(predict, val_items)
         history.append({"epoch": epoch, "train_mse": train_se / len(order),
                         "val_mse": val_mse})
@@ -697,9 +711,16 @@ def _fit(groups, bn_state, step, predict, train_items, val_items,
     return history
 
 
-def _fit_step(groups, opt: Optimizer, step, part, rng) -> float:
-    # a function of its own, so the batch's tape is freed when it returns
-    g, loss, pnodes = step(part, rng)
+def _fit_step(groups, opt: Optimizer, g: ValueGraph, loss: int,
+              pnodes: dict[str, int]) -> float:
+    """Backward and one optimizer step over a batch's tape; returns its loss.
+
+    The caller keeps the tape until the next one is built.  Freeing it here
+    instead let glibc trim the heap top after every step, and the next step
+    faulted the same pages back in: a 2-epoch criterion-3 ``train`` on 1,700
+    complexes took about 650k minor page faults, against about 26k now on a
+    first call in a process and almost none on later calls.
+    """
     grads = g.backward(loss)
     named = {name: grads[nid] for name, nid in pnodes.items()
              if g.nodes[nid].trainable}

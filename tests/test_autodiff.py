@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -434,3 +436,90 @@ class TestTiledConv:
                                 g.parameter(rng.normal(size=1))])
         loss = g.apply("mse-loss", [out, g.input(rng.normal(size=(3, 1)))])
         assert gradient_check(g, loss, 1e-5) < 1e-4
+
+
+class TestMemoryLifetime:
+    """Intermediate gradients die during backward; rewritten kernels give
+    the same bits as the expressions they replaced."""
+
+    def probe_graph(self, rng, probes):
+        g = ValueGraph()
+        w = g.parameter(rng.normal(size=(4, 3)))
+        b = g.parameter(rng.normal(size=3))
+        h = g.apply("dense", [g.input(rng.normal(size=(5, 4))), w, b])
+        for op in probes:
+            h = g.apply(op, [h])
+        loss = g.apply("mse-loss", [h, g.input(np.zeros((5, 3)))])
+        return g, loss
+
+    def test_backward_frees_intermediate_gradients(self, rng, monkeypatch):
+        received = []  # a weakref to the gradient each probe backward got
+        alive = []     # per probe call: how many earlier ones were alive
+
+        def fwd(node, vals, graph):
+            return vals[0] * 1.0
+
+        def bwd(node, vals, g):
+            alive.append(sum(r() is not None for r in received))
+            received.append(weakref.ref(g))
+            return [g * 1.0]
+
+        monkeypatch.setitem(autodiff._OPS, "probe", (fwd, bwd))
+        probes = ["probe", "tanh", "probe", "probe", "sigmoid", "probe"]
+        g, loss = self.probe_graph(np.random.default_rng(1), probes)
+        grads = g.backward(loss)
+        assert alive == [0, 0, 0, 0]
+        assert [r() for r in received] == [None] * 4
+        # every parameter gradient survives, equal to the probe-free tape's
+        ref, ref_loss = self.probe_graph(
+            np.random.default_rng(1), [p for p in probes if p != "probe"])
+        want = ref.backward(ref_loss)
+        assert sorted(grads) == [p.nid for p in g.parameters]
+        for nid, ref_nid in zip(sorted(grads), sorted(want)):
+            assert np.array_equal(grads[nid], want[ref_nid])
+
+    @pytest.mark.parametrize("op", ["sigmoid", "tanh"])
+    def test_backward_from_stored_output_bitwise(self, op, rng):
+        x = rng.normal(size=(6, 5)) * 4.0
+        gout = rng.normal(size=(6, 5))
+        g = ValueGraph()
+        y = g.apply(op, [g.parameter(x)])
+        (gx,) = autodiff._OPS[op][1](g.nodes[y], [x], gout)
+        if op == "sigmoid":
+            f = lambda v: 0.5 * (1.0 + np.tanh(0.5 * v))
+            ref = gout * (f(x) * (1.0 - f(x)))
+        else:
+            ref = gout * (1.0 - np.tanh(x) ** 2)
+        assert gx.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("shape", [(1,), (5,), (7, 1), (6, 16),
+                                       (2, 3, 4, 4, 4)])
+    def test_elementwise_add_bitwise_equals_stacked_sum(self, n, shape, rng):
+        vals = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, shape)
+                for _ in range(n)]
+        g = ValueGraph()
+        out = g.value(g.apply("elementwise-add", [g.input(v) for v in vals]))
+        ref = np.sum(vals, axis=0)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("xs", [(3,), (7, 3), (2, 5, 3)])
+    def test_dense_bitwise_equals_matmul_plus_bias(self, xs, rng):
+        x, w, b = rng.normal(size=xs), rng.normal(size=(3, 6)), rng.normal(size=6)
+        g = ValueGraph()
+        out = g.value(g.apply("dense", [g.input(x), g.parameter(w),
+                                        g.parameter(b)]))
+        assert out.tobytes() == (x @ w + b).tobytes()
+
+    @pytest.mark.parametrize("xs,ws,tile", TILINGS)
+    def test_conv3d_bitwise_equals_correlation_plus_bias(self, xs, ws, tile,
+                                                         rng, monkeypatch):
+        if tile is not None:
+            monkeypatch.setattr(autodiff, "_TILE_BYTES", tile)
+        x, w, b = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=ws[0])
+        g = ValueGraph()
+        out = g.value(g.apply("conv3d", [g.input(x), g.parameter(w),
+                                         g.parameter(b)]))
+        ref = autodiff._correlate(x, w) + b[None, :, None, None, None]
+        assert out.tobytes() == ref.tobytes()

@@ -117,6 +117,10 @@ class TestTrain:
                     "--c-elem", "2"]) == cli.EXIT_OK
         ckpt = out / "fusion.ckpt.npz"
         assert ckpt.exists()
+        timings = json.loads((out / "timings.json").read_text())
+        assert isinstance(timings["minor_page_faults"], int)
+        assert timings["minor_page_faults"] >= 0
+        assert timings["peak_rss_mb"] > 0
         scr = tmp_path / "scr"
         assert run(["screen", "--library", str(data), "--model", str(ckpt),
                     "--jobs", "2", "--ranks", "2",

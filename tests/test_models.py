@@ -1,9 +1,11 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fusionscreen import complexes, models
+from fusionscreen.autodiff import ValueGraph
 from fusionscreen.models import (
     FusionConfig,
     FusionModel,
@@ -194,6 +196,31 @@ class TestPersistence:
         assert toy_model.predict_batch(items)[0] == \
             loaded.predict_batch(items)[0]
 
+    def test_save_load_roundtrips_batch_norm_state(self, toy_voxel_cfg,
+                                                   toy_graph_cfg, toy_items,
+                                                   tmp_path):
+        cfg = FusionConfig(mode="coherent", n_fusion_layers=3,
+                           fusion_dense_nodes=6,
+                           optimizer=OptimizerConfig("adam", 3e-3),
+                           batch_size=4, epochs=3)
+        m = FusionModel(replace(toy_voxel_cfg, batch_norm=True),
+                        toy_graph_cfg, cfg, seed=2)
+        m, _ = train(m, toy_items[:12], toy_items[12:], cfg, seed=0)
+        path = tmp_path / "bn.npz"
+        m.save(path)
+        loaded = FusionModel.load(path)
+        items = [(it.grid, it.graph) for it in toy_items]
+        expected = m.predict_batch(items)[0]
+        assert loaded.predict_batch(items)[0] == expected
+        assert sorted(loaded.bn_state) == sorted(m.bn_state) == ["bn1", "bn2"]
+        for key, stats in m.bn_state.items():
+            assert sorted(loaded.bn_state[key]) == sorted(stats)
+            for stat, arr in stats.items():
+                assert np.array_equal(loaded.bn_state[key][stat], arr)
+        # the statistics matter: without them the predictions move
+        loaded.bn_state = {}
+        assert loaded.predict_batch(items)[0] != expected
+
     def test_loaded_configs_match(self, toy_model, tmp_path):
         path = tmp_path / "m.npz"
         toy_model.save(path)
@@ -233,6 +260,28 @@ class TestTraining:
         assert int(np.argmin(val)) < len(val) - 1
         final = models._eval_mse(m, toy_items[12:])
         assert final == pytest.approx(min(val), rel=1e-9)
+
+    def test_no_training_tape_outlives_its_use(self, toy_model, toy_items,
+                                               monkeypatch):
+        tapes = []        # (weakref, training) per tape built in models
+        alive_at_eval = []  # training tapes alive as each eval tape is built
+
+        class Recording(ValueGraph):
+            def __init__(self, seed=0, training=False):
+                super().__init__(seed, training)
+                if not training:
+                    alive_at_eval.append(
+                        sum(t and r() is not None for r, t in tapes))
+                tapes.append((weakref.ref(self), training))
+
+        monkeypatch.setattr(models, "ValueGraph", Recording)
+        cfg = FusionConfig(mode="coherent", n_fusion_layers=3,
+                           fusion_dense_nodes=6, optimizer=self.opt(),
+                           batch_size=5, epochs=2)
+        train(toy_model, toy_items[:12], toy_items[12:], cfg, seed=0)
+        assert sum(t for _, t in tapes) == 6    # 3 steps per epoch
+        assert alive_at_eval == [0, 0]          # one eval tape per epoch
+        assert [r() for r, _ in tapes] == [None] * len(tapes)
 
     def test_late_mode_training_rejected(self, toy_voxel_cfg, toy_graph_cfg,
                                          toy_items):
