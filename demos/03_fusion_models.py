@@ -33,28 +33,28 @@ def r2(mse):
 
 rng = np.random.default_rng(0)
 print("training the voxel head alone ...")
-vparams, vh = models.train_head("voxel", models.init_voxel_params(vcfg, rng),
-                                vcfg, train, val, epochs=6, batch_size=64,
-                                optimizer_cfg=opt, seed=0)
+vparams, vbn, vh = models.train_head(
+    "voxel", models.init_voxel_params(vcfg, rng), vcfg, train, val, epochs=6,
+    batch_size=64, optimizer_cfg=opt, seed=0)
 print(f"  voxel head val R^2 = {r2(min(h['val_mse'] for h in vh)):.3f}")
 
 print("training the graph head alone ...")
-gparams, gh = models.train_head("graph", models.init_graph_params(gcfg, rng),
-                                gcfg, train, val, epochs=6, batch_size=64,
-                                optimizer_cfg=opt, seed=0)
+gparams, _, gh = models.train_head(
+    "graph", models.init_graph_params(gcfg, rng), gcfg, train, val, epochs=6,
+    batch_size=64, optimizer_cfg=opt, seed=0)
 print(f"  graph head val R^2 = {r2(min(h['val_mse'] for h in gh)):.3f}")
 
 print("\nmid fusion (heads frozen) ...")
 mid_cfg = FusionConfig(mode="mid", n_fusion_layers=3, fusion_dense_nodes=16,
                        activation="relu", optimizer=opt, batch_size=64,
                        epochs=6, dropout_early=0.0, dropout_mid=0.0)
-mid = FusionModel.from_heads(vparams, vcfg, gparams, gcfg, mid_cfg)
+mid = FusionModel.from_heads(vparams, vcfg, gparams, gcfg, mid_cfg, vbn)
 _, hist = models.train(mid, train, val, mid_cfg, seed=0)
 print(f"  mid fusion val R^2 = {r2(min(h['val_mse'] for h in hist)):.3f}")
 
 print("late fusion (plain average of the trained heads) ...")
-vox_pred, _ = models.voxel_head_forward(vparams, vcfg,
-                                        [it.grid for it in val])
+vox_pred, _ = models.voxel_head_forward(vparams, vcfg, [it.grid for it in val],
+                                        bn_state=vbn)
 gr_pred, _ = models.graph_head_forward(gparams, gcfg,
                                        [it.graph for it in val])
 late = models.late_fusion_predict(vox_pred, gr_pred)

@@ -581,20 +581,6 @@ def _mul():
     return fwd, bwd
 
 
-@_op("scale")
-def _scale():
-    def fwd(node, vals, graph):
-        _check(len(vals) == 1, "scale", "expects one input")
-        return float(node.attrs.get("factor", 1.0)) * vals[0] + float(
-            node.attrs.get("shift", 0.0)
-        )
-
-    def bwd(node, vals, g):
-        return [float(node.attrs.get("factor", 1.0)) * g]
-
-    return fwd, bwd
-
-
 @_op("arithmetic-mean")
 def _mean():
     def fwd(node, vals, graph):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, complexes, evaluate, harness, models, pb2
-from .optim import Optimizer, OptimizerConfig
+from .optim import OptimizerConfig
 
 logger = logging.getLogger(__name__)
 
@@ -157,33 +157,27 @@ def cmd_train(args) -> int:
         else:
             params = models.init_graph_params(graph_cfg, rng)
             cfg = graph_cfg
-        params, history = models.train_head(
+        params, bn_state, history = models.train_head(
             args.mode, params, cfg, train_items, val_items,
             epochs=fusion_cfg.epochs, batch_size=fusion_cfg.batch_size,
             optimizer_cfg=fusion_cfg.optimizer, seed=args.seed)
         ckpt = out / f"{args.mode}_head.ckpt.npz"
-        from .checkpoint import save_checkpoint
-        from dataclasses import asdict
-        save_checkpoint(ckpt, params, None,
-                        {"model": f"{args.mode}-head", "cfg": asdict(cfg)})
+        models.save_head(ckpt, params, cfg, bn_state)
         artifacts.append(ckpt.name)
     else:
-        model = models.FusionModel(voxel_cfg, graph_cfg, fusion_cfg,
-                                   seed=args.seed,
-                                   heads_pretrained=bool(args.voxel_ckpt))
+        if args.mode == "late":
+            raise UsageError("late fusion is inference-only; train the heads")
         if args.voxel_ckpt or args.graph_ckpt:
             if not (args.voxel_ckpt and args.graph_ckpt):
                 raise UsageError("mid fusion needs both head checkpoints")
-            from .checkpoint import load_checkpoint
-            vp, _, _ = load_checkpoint(args.voxel_ckpt)
-            gp, _, _ = load_checkpoint(args.graph_ckpt)
-            model.voxel_params.update(
-                {k: np.asarray(v) for k, v in vp.items()})
-            model.graph_params.update(
-                {k: np.asarray(v) for k, v in gp.items()})
-            model.heads_pretrained = True
-        if args.mode == "late":
-            raise UsageError("late fusion is inference-only; train the heads")
+            vp, voxel_bn = models.load_head(args.voxel_ckpt, voxel_cfg)
+            gp, _ = models.load_head(args.graph_ckpt, graph_cfg)
+            model = models.FusionModel.from_heads(
+                vp, voxel_cfg, gp, graph_cfg, fusion_cfg, voxel_bn,
+                seed=args.seed)
+        else:
+            model = models.FusionModel(voxel_cfg, graph_cfg, fusion_cfg,
+                                       seed=args.seed)
         model, history = models.train(model, train_items, val_items,
                                       fusion_cfg, seed=args.seed)
         ckpt = out / "fusion.ckpt.npz"

@@ -7,7 +7,6 @@ than NaN so downstream report code has to handle them explicitly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -251,8 +250,3 @@ def method_comparison_report(methods: dict[str, dict], experimental: dict,
         rows.append(row)
     rows.sort(key=lambda r: (-(r["abs_spearman_rho"] or -1.0), r["method"]))
     return rows
-
-
-def write_report(rows, path) -> None:
-    with open(path, "w") as f:
-        json.dump(rows, f, indent=2, default=float)

@@ -31,8 +31,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-import numpy as np
-
 logger = logging.getLogger(__name__)
 
 DEFAULT_RANKS_PER_JOB = 16
@@ -254,10 +252,6 @@ class ModelScorer:
 # ---------------------------------------------------------------------------
 # job execution
 # ---------------------------------------------------------------------------
-
-class JobFailure(RuntimeError):
-    pass
-
 
 def run_job(spec: JobSpec, scorer, plan: FaultPlan | None = None,
             attempt: int = 0, out_dir=None) -> JobResult:

@@ -12,7 +12,9 @@ Parameters are plain ``dict[str, np.ndarray]``; every forward pass builds a
 fresh :class:`~fusionscreen.autodiff.ValueGraph` tape.  ``train`` and
 ``train_head`` share one minibatch loop, which restores the best-validation
 parameters together with the batch-norm running statistics of that epoch.
-``FusionModel.save`` and ``load`` carry those statistics with the parameters.
+``FusionModel.save``/``load`` and ``save_head``/``load_head`` share one
+checkpoint writer and reader: params, those statistics and the config, tagged
+with the model kind, which the reader checks.
 """
 
 from __future__ import annotations
@@ -435,11 +437,14 @@ class FusionModel:
     # -- construction from head checkpoints -----------------------------
     @classmethod
     def from_heads(cls, voxel_params, voxel_cfg, graph_params, graph_cfg,
-                   fusion_cfg, seed=0):
+                   fusion_cfg, voxel_bn_state, seed=0):
+        """``voxel_bn_state``: the head's batch-norm statistics (empty without
+        batch norm), as ``train_head`` and ``load_head`` return them."""
         model = cls(voxel_cfg, graph_cfg, fusion_cfg, seed=seed,
                     heads_pretrained=True)
         model.voxel_params = {k: v.copy() for k, v in voxel_params.items()}
         model.graph_params = {k: v.copy() for k, v in graph_params.items()}
+        model.bn_state = copy.deepcopy(voxel_bn_state)
         return model
 
     # -- tape construction ----------------------------------------------
@@ -534,48 +539,77 @@ class FusionModel:
                 for prefix, ps in self._param_groups().items()
                 for k, v in ps.items()}
 
-    def set_params(self, flat: dict[str, np.ndarray]) -> None:
-        groups = self._param_groups()
-        for full, arr in flat.items():
-            prefix, name = full.split("/", 1)
-            groups[prefix][name] = np.array(arr, dtype=np.float64)
-
-    def save(self, path, optimizer: Optimizer | None = None) -> None:
-        meta = {
-            "model": "fusion",
+    def save(self, path) -> None:
+        _write_state(path, "fusion", self.all_params(), self.bn_state, {
             "voxel_cfg": asdict(self.voxel_cfg),
             "graph_cfg": asdict(self.graph_cfg),
             "fusion_cfg": asdict(self.fusion_cfg),
             "seed": self.seed,
             "heads_pretrained": self.heads_pretrained,
-        }
-        # batch-norm running statistics ride along as "bn_state/<key>/<stat>"
-        arrays = self.all_params()
-        arrays.update({f"{_BN_PREFIX}{key}/{stat}": arr
-                       for key, stats in self.bn_state.items()
-                       for stat, arr in stats.items()})
-        save_checkpoint(path, arrays, optimizer, meta)
+        })
 
     @classmethod
     def load(cls, path) -> "FusionModel":
-        params, _, meta = load_checkpoint(path)
+        params, bn_state, meta = _read_state(path, "fusion")
+        fusion = dict(meta["fusion_cfg"])
+        fusion["optimizer"] = OptimizerConfig(**fusion["optimizer"])
         model = cls(VoxelHeadConfig(**meta["voxel_cfg"]),
                     GraphHeadConfig(**meta["graph_cfg"]),
-                    _fusion_cfg_from_dict(meta["fusion_cfg"]),
-                    seed=meta.get("seed", 0),
+                    FusionConfig(**fusion), seed=meta.get("seed", 0),
                     heads_pretrained=meta.get("heads_pretrained", False))
-        for full in [k for k in params if k.startswith(_BN_PREFIX)]:
-            key, stat = full[len(_BN_PREFIX):].split("/")
-            model.bn_state.setdefault(key, {})[stat] = params.pop(full)
-        model.set_params(params)
+        for full, arr in params.items():
+            prefix, name = full.split("/", 1)
+            model._param_groups()[prefix][name] = arr
+        model.bn_state = bn_state
         return model
 
 
-def _fusion_cfg_from_dict(d: dict) -> FusionConfig:
-    d = dict(d)
-    o = d.pop("optimizer")
-    return FusionConfig(optimizer=OptimizerConfig(o["kind"], o["learning_rate"],
-                                                  dict(o["coefficients"])), **d)
+_HEAD_KINDS = {VoxelHeadConfig: "voxel-head", GraphHeadConfig: "graph-head"}
+
+
+def _write_state(path, kind: str, params: dict, bn_state: dict,
+                 meta: dict) -> None:
+    """Saves params, ``bn_state/<key>/<stat>`` arrays and ``meta`` tagged
+    ``{"model": kind}``: the one layout of model state on disk."""
+    arrays = dict(params)
+    arrays.update({f"{_BN_PREFIX}{key}/{stat}": arr
+                   for key, stats in bn_state.items()
+                   for stat, arr in stats.items()})
+    save_checkpoint(path, arrays, None, {"model": kind, **meta})
+
+
+def _read_state(path, kind: str) -> tuple[dict, dict, dict]:
+    """Returns (params, bn_state, meta) of a ``_write_state`` file; raises
+    ValueError naming the file when it holds another kind of model."""
+    arrays, _, meta = load_checkpoint(path)
+    if meta.get("model") != kind:
+        raise ValueError(f"{path}: holds a {meta.get('model')!r} checkpoint, "
+                         f"expected {kind!r}")
+    bn_state: dict = {}
+    for full in [k for k in arrays if k.startswith(_BN_PREFIX)]:
+        key, stat = full[len(_BN_PREFIX):].split("/")
+        bn_state.setdefault(key, {})[stat] = arrays.pop(full)
+    return arrays, bn_state, meta
+
+
+def save_head(path, params: dict, cfg, bn_state: dict) -> None:
+    """Saves a head's params, batch-norm statistics and config; the kind
+    ("voxel-head" or "graph-head") follows from the config's type."""
+    _write_state(path, _HEAD_KINDS[type(cfg)], params, bn_state,
+                 {"cfg": asdict(cfg)})
+
+
+def load_head(path, expected_cfg) -> tuple[dict, dict]:
+    """Returns (params, bn_state) of a ``save_head`` file; raises ValueError
+    naming it unless it holds a head of ``expected_cfg``'s kind and config."""
+    params, bn_state, meta = _read_state(path, _HEAD_KINDS[type(expected_cfg)])
+    stored, want = meta["cfg"], asdict(expected_cfg)
+    diff = [f"{k}={stored.get(k)!r} (expected {want.get(k)!r})"
+            for k in sorted(stored.keys() | want.keys())
+            if stored.get(k) != want.get(k)]
+    if diff:
+        raise ValueError(f"{path}: head trained with {', '.join(diff)}")
+    return params, bn_state
 
 
 # ---------------------------------------------------------------------------
@@ -741,21 +775,18 @@ def train(model: FusionModel, train_set, val_set, cfg: FusionConfig | None = Non
           seed: int = 0):
     """Minibatch MSE training for mid/coherent fusion.
 
-    ``train_set``/``val_set`` are lists of FeaturizedItem (or SyntheticComplex,
-    featurized on the fly).  Mid mode freezes both heads and requires them to
-    come from trained checkpoints; coherent mode trains everything.  Voxel
-    inputs are rotation-augmented during training only.  Returns
-    (model, history) where history has one (epoch, train_mse, val_mse) row per
-    epoch; the best-validation parameters and batch-norm running statistics
-    are restored at the end.
+    ``train_set``/``val_set`` are lists of FeaturizedItem.  Mid mode freezes
+    both heads and requires them to come from trained checkpoints; coherent
+    mode trains everything.  Voxel inputs are rotation-augmented during
+    training only.  Returns (model, history) where history has one (epoch,
+    train_mse, val_mse) row per epoch; the best-validation parameters and
+    batch-norm running statistics are restored at the end.
     """
     cfg = cfg or model.fusion_cfg
     if cfg.mode == "late":
         raise ValueError("late fusion has no trainable fusion parameters")
     if cfg.mode == "mid" and not model.heads_pretrained:
         raise ValueError("mid fusion requires trained head checkpoints")
-    train_items = _ensure_featurized(model, train_set)
-    val_items = _ensure_featurized(model, val_set)
 
     def step(part, rng):
         aug_seed = int(rng.integers(0, 2 ** 31 - 1))
@@ -768,24 +799,19 @@ def train(model: FusionModel, train_set, val_set, cfg: FusionConfig | None = Non
         return g, loss, pnodes
 
     history = _fit(model._param_groups(), model.bn_state, step, model,
-                   train_items, val_items, cfg.epochs, cfg.batch_size,
+                   train_set, val_set, cfg.epochs, cfg.batch_size,
                    cfg.optimizer, np.random.default_rng(seed))
     return model, history
-
-
-def _ensure_featurized(model: FusionModel, items):
-    if items and isinstance(items[0], SyntheticComplex):
-        return featurize(items, model.voxel_cfg, model.graph_cfg)
-    return list(items)
 
 
 def train_head(kind: str, params: dict, cfg, train_items, val_items,
                epochs: int, batch_size: int, optimizer_cfg: OptimizerConfig,
                seed: int = 0, augment: bool = True):
-    """Trains one head in isolation; returns (params, history).
+    """Trains one head in isolation; returns (params, bn_state, history).
 
-    ``kind`` is "voxel" or "graph".  Used to produce the pre-trained head
-    checkpoints that mid fusion loads.
+    ``kind`` is "voxel" or "graph".  ``params`` and ``bn_state`` (batch-norm
+    running statistics, empty without batch norm) are the best validation
+    epoch's; ``save_head`` writes them as the checkpoint mid fusion loads.
     """
     if kind not in ("voxel", "graph"):
         raise ValueError(f"unknown head kind {kind!r}")
@@ -814,4 +840,4 @@ def train_head(kind: str, params: dict, cfg, train_items, val_items,
     history = _fit({kind: params}, bn_state, step, predict, train_items,
                    val_items, epochs, batch_size, optimizer_cfg,
                    np.random.default_rng(seed))
-    return params, history
+    return params, bn_state, history

@@ -1,6 +1,9 @@
 import json
 
-from fusionscreen import cli
+import numpy as np
+import pytest
+
+from fusionscreen import cli, models
 
 
 def run(argv):
@@ -95,6 +98,21 @@ class TestScreenEvalReport:
             cli.EXIT_USAGE
 
 
+@pytest.fixture(scope="module")
+def heads(tmp_path_factory):
+    """A tiny dataset with a voxel and a graph head trained on it."""
+    tmp = tmp_path_factory.mktemp("heads")
+    data = gen_dataset(tmp, count=24)
+    ckpts = []
+    for kind in ("voxel", "graph"):
+        out = tmp / kind
+        assert run(["train", "--data", str(data), "--mode", kind,
+                    "--out", str(out), "--epochs", "1", "--batch-size", "8",
+                    "--grid-extent", "8", "--c-elem", "2"]) == cli.EXIT_OK
+        ckpts.append(out / f"{kind}_head.ckpt.npz")
+    return data, *ckpts
+
+
 class TestTrain:
     def test_graph_head_training(self, tmp_path):
         data = gen_dataset(tmp_path, count=20)
@@ -127,6 +145,45 @@ class TestTrain:
                     "--out", str(scr)]) == cli.EXIT_OK
         manifest = json.loads((scr / "campaign_manifest.json").read_text())
         assert manifest["n_poses"] == 20
+
+    def test_readme_pipeline_mid_from_head_checkpoints(self, heads, tmp_path):
+        data, vckpt, gckpt = heads
+        out = tmp_path / "mid"
+        assert run(["train", "--data", str(data), "--mode", "mid",
+                    "--out", str(out), "--epochs", "1", "--batch-size", "8",
+                    "--grid-extent", "8", "--c-elem", "2",
+                    "--voxel-ckpt", str(vckpt),
+                    "--graph-ckpt", str(gckpt)]) == cli.EXIT_OK
+        assert len(json.loads((out / "history.json").read_text())) == 1
+        model = models.FusionModel.load(out / "fusion.ckpt.npz")
+        assert model.heads_pretrained
+        # mid fusion trains only the fusion layers: the heads stay as saved
+        for ckpt, cfg, params in ((vckpt, model.voxel_cfg, model.voxel_params),
+                                  (gckpt, model.graph_cfg, model.graph_params)):
+            saved, _ = models.load_head(ckpt, cfg)
+            assert sorted(saved) == sorted(params)
+            assert all(np.array_equal(saved[k], params[k]) for k in saved)
+
+    def test_swapped_head_checkpoints_exit_1(self, heads, tmp_path, capsys):
+        data, vckpt, gckpt = heads
+        assert run(["train", "--data", str(data), "--mode", "mid",
+                    "--out", str(tmp_path / "mid"), "--epochs", "1",
+                    "--grid-extent", "8", "--c-elem", "2",
+                    "--voxel-ckpt", str(gckpt),
+                    "--graph-ckpt", str(vckpt)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(gckpt) in err and "'voxel-head'" in err
+
+    def test_grid_extent_differing_from_heads_exits_1(self, heads, tmp_path,
+                                                      capsys):
+        data, vckpt, gckpt = heads
+        assert run(["train", "--data", str(data), "--mode", "mid",
+                    "--out", str(tmp_path / "mid"), "--epochs", "1",
+                    "--grid-extent", "16", "--c-elem", "2",
+                    "--voxel-ckpt", str(vckpt),
+                    "--graph-ckpt", str(gckpt)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(vckpt) in err and "grid_extent=8 (expected 16)" in err
 
     def test_late_mode_is_usage_error(self, tmp_path):
         data = gen_dataset(tmp_path, count=20)

@@ -57,7 +57,7 @@ def _run_mid_from_heads(vcfg, gcfg, tr, va):
     cfg = _fusion("mid", model_specific_layers=True, residual_fusion=False)
     m = models.FusionModel.from_heads(
         models.init_voxel_params(vcfg, rng), vcfg,
-        models.init_graph_params(gcfg, rng), gcfg, cfg, seed=4)
+        models.init_graph_params(gcfg, rng), gcfg, cfg, {}, seed=4)
     return _train(m, tr, va, cfg, seed=12)
 
 
@@ -72,9 +72,10 @@ def _run_head(kind, vcfg, gcfg, tr, va, **kw):
     cfg, init = ((vcfg, models.init_voxel_params) if kind == "voxel"
                  else (gcfg, models.init_graph_params))
     params = init(cfg, np.random.default_rng(7))
-    return models.train_head(kind, params, cfg, tr, va, epochs=3,
-                             batch_size=5, optimizer_cfg=_OPT, seed=14,
-                             **kw)
+    params, _, history = models.train_head(kind, params, cfg, tr, va,
+                                           epochs=3, batch_size=5,
+                                           optimizer_cfg=_OPT, seed=14, **kw)
+    return params, history
 
 
 def _run_voxel_head_augment(vcfg, gcfg, tr, va):

@@ -1,11 +1,12 @@
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from fusionscreen import complexes, models
 from fusionscreen.autodiff import ValueGraph
+from fusionscreen.checkpoint import save_checkpoint
 from fusionscreen.models import (
     FusionConfig,
     FusionModel,
@@ -230,6 +231,87 @@ class TestPersistence:
         assert loaded.fusion_cfg.mode == toy_model.fusion_cfg.mode
 
 
+class TestHeadCheckpoints:
+    @staticmethod
+    def train_bn_voxel_head(cfg, items):
+        cfg = replace(cfg, batch_norm=True)
+        params = models.init_voxel_params(cfg, np.random.default_rng(7))
+        params, bn_state, history = train_head(
+            "voxel", params, cfg, items[:12], items[12:], epochs=3,
+            batch_size=5, optimizer_cfg=OptimizerConfig("adam", 3e-3),
+            seed=14)
+        return cfg, params, bn_state, history
+
+    @staticmethod
+    def val_mse(params, cfg, items, bn_state):
+        pred = voxel_head_forward(params, cfg, [it.grid for it in items],
+                                  bn_state=bn_state)[0]
+        y = np.array([it.label for it in items])
+        return float(((pred - y) ** 2).sum()) / len(items)
+
+    def test_batch_norm_head_round_trip_reproduces_best_val_mse(
+            self, toy_voxel_cfg, toy_items, tmp_path):
+        cfg, params, bn_state, history = self.train_bn_voxel_head(
+            toy_voxel_cfg, toy_items)
+        path = tmp_path / "voxel_head.npz"
+        models.save_head(path, params, cfg, bn_state)
+        loaded, loaded_bn = models.load_head(path, cfg)
+        assert sorted(loaded_bn) == ["bn1", "bn2"]
+        best = min(h["val_mse"] for h in history)
+        assert self.val_mse(loaded, cfg, toy_items[12:], loaded_bn) == best
+        # the best epoch's statistics matter: without them the MSE moves
+        assert self.val_mse(loaded, cfg, toy_items[12:], {}) != best
+
+    def test_late_model_from_heads_uses_voxel_batch_norm_state(
+            self, toy_voxel_cfg, toy_graph_cfg, toy_items):
+        vcfg, vparams, bn_state, _ = self.train_bn_voxel_head(
+            toy_voxel_cfg, toy_items)
+        gparams = models.init_graph_params(toy_graph_cfg,
+                                           np.random.default_rng(8))
+        m = FusionModel.from_heads(vparams, vcfg, gparams, toy_graph_cfg,
+                                   FusionConfig(mode="late"), bn_state)
+        preds, errors = m.predict_batch([(it.grid, it.graph)
+                                         for it in toy_items])
+        assert not errors
+        expected = late_fusion_predict(
+            voxel_head_forward(vparams, vcfg, [it.grid for it in toy_items],
+                               bn_state=bn_state)[0],
+            graph_head_forward(gparams, toy_graph_cfg,
+                               [it.graph for it in toy_items])[0])
+        assert [p.hex() for p in preds] == [float(e).hex() for e in expected]
+
+    def test_head_checkpoint_without_batch_norm_arrays_loads(
+            self, toy_voxel_cfg, tmp_path):
+        # the layout written before heads carried batch-norm statistics
+        params = models.init_voxel_params(toy_voxel_cfg,
+                                          np.random.default_rng(0))
+        path = tmp_path / "old_head.npz"
+        save_checkpoint(path, params, None,
+                        {"model": "voxel-head", "cfg": asdict(toy_voxel_cfg)})
+        loaded, bn_state = models.load_head(path, toy_voxel_cfg)
+        assert bn_state == {}
+        assert sorted(loaded) == sorted(params)
+        for k, v in params.items():
+            assert np.array_equal(loaded[k], v)
+
+    def test_load_head_rejects_other_kind_or_config(self, toy_voxel_cfg,
+                                                    toy_graph_cfg, toy_model,
+                                                    tmp_path):
+        path = tmp_path / "graph_head.npz"
+        models.save_head(path, models.init_graph_params(
+            toy_graph_cfg, np.random.default_rng(0)), toy_graph_cfg, {})
+        with pytest.raises(ValueError, match="graph_head.npz.*'voxel-head'"):
+            models.load_head(path, toy_voxel_cfg)
+        with pytest.raises(ValueError, match="graph_head.npz.*k_cov=2"):
+            models.load_head(path, replace(toy_graph_cfg, k_cov=3))
+        fusion = tmp_path / "fusion.npz"
+        toy_model.save(fusion)
+        with pytest.raises(ValueError, match="fusion.npz.*'fusion'"):
+            models.load_head(fusion, toy_graph_cfg)
+        with pytest.raises(ValueError, match="graph_head.npz.*'graph-head'"):
+            FusionModel.load(path)
+
+
 class TestTraining:
     def opt(self):
         return OptimizerConfig("adam", 3e-3)
@@ -305,7 +387,7 @@ class TestTraining:
         for kind, cfg, init in (
                 ("voxel", toy_voxel_cfg, models.init_voxel_params),
                 ("graph", toy_graph_cfg, models.init_graph_params)):
-            params, history = train_head(
+            params, _, history = train_head(
                 kind, init(cfg, rng), cfg, toy_items[:12], toy_items[12:],
                 epochs=2, batch_size=8, optimizer_cfg=self.opt(), seed=0)
             assert len(history) == 2
