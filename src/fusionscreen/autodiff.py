@@ -154,18 +154,19 @@ class ValueGraph:
             if not (0 <= i < len(self.nodes)):
                 raise GraphError(f"{op_kind}: invalid input node id {i}")
         nid = self._add(op_kind, inputs, None, dict(attrs or {}), False, None)
-        node = self.nodes[nid]
-        fwd, _ = _OPS[op_kind]
-        node.value = fwd(node, [self.nodes[i].value for i in inputs], self)
+        self._run(self.nodes[nid])
         return nid
 
     def forward(self) -> None:
         """Replay every recorded op in tape order (leaves keep their values)."""
         for node in self.nodes:
-            if node.op == "leaf":
-                continue
-            fwd, _ = _OPS[node.op]
-            node.value = fwd(node, [self.nodes[i].value for i in node.inputs], self)
+            if node.op != "leaf":
+                self._run(node)
+
+    def _run(self, node: Node) -> None:
+        """(Re)computes one op node's value from its inputs' values."""
+        fwd, _ = _OPS[node.op]
+        node.value = fwd(node, [self.nodes[i].value for i in node.inputs], self)
 
     # -- reverse pass ----------------------------------------------------
     def backward(self, loss_node: int) -> dict[int, np.ndarray]:
@@ -431,7 +432,8 @@ def _tanh():
 def _batch_norm():
     # Normalizes over all axes except axis 1 (channel/feature).  Train mode
     # uses batch statistics and updates the running stats stored in attrs;
-    # eval mode uses running statistics only.
+    # eval mode uses running statistics only.  The mode is the graph's unless
+    # the node's ``training`` attr sets it (a frozen layer in a training tape).
     def fwd(node, vals, graph):
         _check(len(vals) == 3, "batch-norm", "expects (x, gamma, beta)")
         x, gamma, beta = vals
@@ -448,7 +450,8 @@ def _batch_norm():
         state = node.attrs.setdefault(
             "state", {"mean": np.zeros(c), "var": np.ones(c)}
         )
-        if graph.training:
+        train = node.attrs.get("training", graph.training)
+        if train:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
             momentum = float(node.attrs.get("momentum", 0.1))
@@ -459,7 +462,7 @@ def _batch_norm():
         inv = 1.0 / np.sqrt(var + eps)
         xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
         node.ctx.update(xhat=xhat, inv=inv, axes=axes, shape=shape,
-                        train=graph.training)
+                        train=train)
         return gamma.reshape(shape) * xhat + beta.reshape(shape)
 
     def bwd(node, vals, g):
@@ -581,18 +584,6 @@ def _mul():
     return fwd, bwd
 
 
-@_op("arithmetic-mean")
-def _mean():
-    def fwd(node, vals, graph):
-        _nary_same_shape("arithmetic-mean", vals)
-        return np.mean(vals, axis=0)
-
-    def bwd(node, vals, g):
-        return [g / len(vals)] * len(vals)
-
-    return fwd, bwd
-
-
 @_op("mse-loss")
 def _mse():
     def fwd(node, vals, graph):
@@ -634,18 +625,6 @@ def _flatten():
     def fwd(node, vals, graph):
         (x,) = vals
         return x.reshape(x.shape[0], -1)
-
-    def bwd(node, vals, g):
-        return [g.reshape(vals[0].shape)]
-
-    return fwd, bwd
-
-
-@_op("reshape")
-def _reshape():
-    def fwd(node, vals, graph):
-        (x,) = vals
-        return x.reshape(tuple(node.attrs["shape"]))
 
     def bwd(node, vals, g):
         return [g.reshape(vals[0].shape)]
@@ -696,10 +675,7 @@ def gradient_check(graph: ValueGraph, loss_node: int, epsilon: float = 1e-5) -> 
 
     def replay(nids: list[int]) -> float:
         for nid in nids:
-            node = graph.nodes[nid]
-            fwd, _ = _OPS[node.op]
-            node.value = fwd(node, [graph.nodes[i].value for i in node.inputs],
-                             graph)
+            graph._run(graph.nodes[nid])
         return float(graph.nodes[loss_node].value)
 
     worst = 0.0

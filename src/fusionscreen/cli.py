@@ -142,6 +142,19 @@ def cmd_train(args) -> int:
     voxel_cfg = models.VoxelHeadConfig(grid_extent=args.grid_extent,
                                        in_channels=2 * args.c_elem)
     graph_cfg = models.GraphHeadConfig(c_elem=args.c_elem)
+    # head checkpoints are loaded and checked before anything is featurized
+    if args.mode in ("voxel", "graph"):
+        model = None
+    elif args.voxel_ckpt or args.graph_ckpt:
+        if not (args.voxel_ckpt and args.graph_ckpt):
+            raise UsageError("mid fusion needs both head checkpoints")
+        vp, voxel_bn = models.load_head(args.voxel_ckpt, voxel_cfg)
+        gp, _ = models.load_head(args.graph_ckpt, graph_cfg)
+        model = models.FusionModel.from_heads(
+            vp, voxel_cfg, gp, graph_cfg, fusion_cfg, voxel_bn, seed=args.seed)
+    else:
+        model = models.FusionModel(voxel_cfg, graph_cfg, fusion_cfg,
+                                   seed=args.seed)
     train_items = _featurize_dataset(train_cx, voxel_cfg, graph_cfg)
     val_items = _featurize_dataset(val_cx, voxel_cfg, graph_cfg)
 
@@ -149,7 +162,7 @@ def cmd_train(args) -> int:
     faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     artifacts = []
-    if args.mode in ("voxel", "graph"):
+    if model is None:
         rng = np.random.default_rng(args.seed)
         if args.mode == "voxel":
             params = models.init_voxel_params(voxel_cfg, rng)
@@ -165,19 +178,6 @@ def cmd_train(args) -> int:
         models.save_head(ckpt, params, cfg, bn_state)
         artifacts.append(ckpt.name)
     else:
-        if args.mode == "late":
-            raise UsageError("late fusion is inference-only; train the heads")
-        if args.voxel_ckpt or args.graph_ckpt:
-            if not (args.voxel_ckpt and args.graph_ckpt):
-                raise UsageError("mid fusion needs both head checkpoints")
-            vp, voxel_bn = models.load_head(args.voxel_ckpt, voxel_cfg)
-            gp, _ = models.load_head(args.graph_ckpt, graph_cfg)
-            model = models.FusionModel.from_heads(
-                vp, voxel_cfg, gp, graph_cfg, fusion_cfg, voxel_bn,
-                seed=args.seed)
-        else:
-            model = models.FusionModel(voxel_cfg, graph_cfg, fusion_cfg,
-                                       seed=args.seed)
         model, history = models.train(model, train_items, val_items,
                                       fusion_cfg, seed=args.seed)
         ckpt = out / "fusion.ckpt.npz"
@@ -376,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", required=True,
-                   choices=["voxel", "graph", "late", "mid", "coherent"])
+                   choices=["voxel", "graph", "mid", "coherent"],
+                   help="a head, or a fusion model to train (late fusion "
+                        "is inference-only: average the heads)")
     p.add_argument("--preset", choices=["mid", "coherent"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int)
@@ -406,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="fusion checkpoint; synthetic if omitted")
     p.add_argument("--target", default="t0")
     p.add_argument("--jobs", type=int, default=4)
-    p.add_argument("--ranks", type=int, default=harness.DEFAULT_RANKS_PER_JOB)
+    p.add_argument("--ranks", type=int, default=harness.DEFAULT_RANKS_PER_JOB,
+                   help="shards per job; each job's compounds are split "
+                        "over them (batches run across the whole job)")
     p.add_argument("--batch-size", type=int,
                    default=harness.DEFAULT_BATCH_SIZE)
     p.add_argument("--parallelism", type=int, default=4)

@@ -1,12 +1,13 @@
 """Fault-tolerant partitioned batch scoring.
 
-A screening campaign splits a pose library into contiguous jobs; each job
-scores its poses across a fixed number of ranks, gathers every rank's
-predictions, redistributes them by compound, and writes one output shard per
-rank plus a manifest.  Writes are all-or-nothing: a job that fails at any
-point before the gather leaves no shards behind; a scorer that raises or
-returns the wrong number of scores fails only that attempt.  Ranks run one
-after another inside a job and only split its poses and label its shards.
+A screening campaign splits a pose library into contiguous jobs.  A job
+drops its corrupt records, scores the rest in ``batch_size`` batches across
+the whole job, and writes its predictions grouped by compound into
+``ranks_per_job`` shards plus a manifest.  Ranks add no concurrency: they
+only name a job's shards, and a record's ``rank_id`` is the index of the
+shard that holds it.  Writes are all-or-nothing: a job that fails at any
+point before the write leaves no shards behind; a scorer that raises or
+returns the wrong number of scores fails only that attempt.
 The campaign driver retries failed jobs up to a retry budget and records any
 ranges still missing afterwards, so within one campaign no prediction is
 written twice.  Across campaigns this does not yet hold: a re-run into a
@@ -140,6 +141,15 @@ def balanced_sizes(n: int, parts: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(parts)]
 
 
+def _contiguous_split(items, parts: int) -> list:
+    """``items`` cut into ``parts`` contiguous slices of ``balanced_sizes``."""
+    out, start = [], 0
+    for size in balanced_sizes(len(items), parts):
+        out.append(items[start:start + size])
+        start += size
+    return out
+
+
 def partition(library: list[PoseRecord], n_jobs: int,
               ranks_per_job: int = DEFAULT_RANKS_PER_JOB,
               batch_size: int = DEFAULT_BATCH_SIZE) -> list[JobSpec]:
@@ -151,21 +161,8 @@ def partition(library: list[PoseRecord], n_jobs: int,
         raise ValueError("empty library")
     if n_jobs > len(library):
         raise ValueError(f"{n_jobs} jobs for {len(library)} poses")
-    jobs, start = [], 0
-    for jid, size in enumerate(balanced_sizes(len(library), n_jobs)):
-        jobs.append(JobSpec(jid, tuple(library[start:start + size]),
-                            ranks_per_job, batch_size))
-        start += size
-    return jobs
-
-
-def rank_assignments(spec: JobSpec) -> list[list[PoseRecord]]:
-    """Contiguous balanced split of a job's poses across its ranks."""
-    out, start = [], 0
-    for size in balanced_sizes(len(spec.poses), spec.ranks_per_job):
-        out.append(list(spec.poses[start:start + size]))
-        start += size
-    return out
+    return [JobSpec(jid, tuple(poses), ranks_per_job, batch_size)
+            for jid, poses in enumerate(_contiguous_split(library, n_jobs))]
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +252,19 @@ class ModelScorer:
 
 def run_job(spec: JobSpec, scorer, plan: FaultPlan | None = None,
             attempt: int = 0, out_dir=None) -> JobResult:
-    """Runs one job attempt: score per rank, gather, redistribute, write.
+    """Runs one job attempt: drop corrupt records, score, shard, write.
 
-    Output shards (one JSONL file per rank, predictions grouped by compound)
-    and the shard manifest appear only if the whole job succeeds; corrupted
-    records and poses the scorer returns as :class:`Unscorable` are skipped
-    and logged, never written as predictions.
+    The clean poses are scored in ``batch_size`` batches across the whole
+    job.  Compounds are split contiguously, in sorted order, over
+    ``ranks_per_job`` shards (one JSONL file each); every record's
+    ``rank_id`` is its shard's index.  Shards and the shard manifest appear
+    only if the whole job succeeds; corrupted records and poses the scorer
+    returns as :class:`Unscorable` are skipped and logged, never written as
+    predictions.
     """
     plan = plan or FaultPlan()
     result = JobResult(spec.job_id, attempt, "ok")
     t0 = time.perf_counter()
-    assignments = rank_assignments(spec)
-    t1 = time.perf_counter()
-
     reason = attempt_fails(spec.job_id, attempt, plan)
     if reason is not None:
         result.status = "failed"
@@ -276,79 +273,70 @@ def run_job(spec: JobSpec, scorer, plan: FaultPlan | None = None,
                        spec.job_id, attempt, reason)
         return result
 
-    per_rank: list[list[PredictionRecord]] = []
-    for rank_id, poses in enumerate(assignments):
-        clean = []
-        for p in poses:
-            if is_corrupted(p, plan):
-                result.corrupted.append((pose_key(p), "corrupt record"))
+    clean = []
+    for p in spec.poses:
+        if is_corrupted(p, plan):
+            result.corrupted.append((pose_key(p), "corrupt record"))
+        else:
+            clean.append(p)
+    scored = []                        # (pose, score)
+    for i in range(0, len(clean), spec.batch_size):
+        batch = clean[i:i + spec.batch_size]
+        try:
+            scores = scorer(batch)
+        except Exception as e:
+            logger.exception("job %d attempt %d: scorer raised",
+                             spec.job_id, attempt)
+            return JobResult(spec.job_id, attempt, "failed",
+                             failure_reason=f"scorer raised "
+                                            f"{type(e).__name__}: {e}")
+        if len(scores) != len(batch):
+            reason = (f"scorer returned {len(scores)} scores for "
+                      f"{len(batch)} poses")
+            logger.warning("job %d attempt %d failed: %s",
+                           spec.job_id, attempt, reason)
+            return JobResult(spec.job_id, attempt, "failed",
+                             failure_reason=reason)
+        for p, score in zip(batch, scores):
+            if isinstance(score, Unscorable):
+                result.corrupted.append((pose_key(p), score.reason))
             else:
-                clean.append(p)
-        preds = []
-        for i in range(0, len(clean), spec.batch_size):
-            batch = clean[i:i + spec.batch_size]
-            try:
-                scores = scorer(batch)
-            except Exception as e:
-                logger.exception("job %d attempt %d: scorer raised",
-                                 spec.job_id, attempt)
-                return JobResult(spec.job_id, attempt, "failed",
-                                 failure_reason=f"scorer raised "
-                                                f"{type(e).__name__}: {e}")
-            if len(scores) != len(batch):
-                reason = (f"scorer returned {len(scores)} scores for "
-                          f"{len(batch)} poses")
-                logger.warning("job %d attempt %d failed: %s",
-                               spec.job_id, attempt, reason)
-                return JobResult(spec.job_id, attempt, "failed",
-                                 failure_reason=reason)
-            for p, score in zip(batch, scores):
-                if isinstance(score, Unscorable):
-                    result.corrupted.append((pose_key(p), score.reason))
-                    continue
-                preds.append(PredictionRecord(p.compound_id, p.target_id,
-                                              p.pose_id, score,
-                                              spec.job_id, rank_id))
-        per_rank.append(preds)
-    t2 = time.perf_counter()
+                scored.append((p, score))
+    t1 = time.perf_counter()
 
-    # allgather, then redistribute by compound so each compound's poses land
-    # in exactly one shard
-    everything = [r for preds in per_rank for r in preds]
-    result.predictions = everything
+    # each compound's poses land in exactly one shard
+    compounds = sorted({p.compound_id for p, _ in scored})
+    shard_of = {c: shard
+                for shard, part in enumerate(
+                    _contiguous_split(compounds, spec.ranks_per_job))
+                for c in part}
+    result.predictions = [
+        PredictionRecord(p.compound_id, p.target_id, p.pose_id, score,
+                         spec.job_id, shard_of[p.compound_id])
+        for p, score in scored]
     if out_dir is not None:
-        compounds = sorted({r.compound_id for r in everything})
-        owner = {}
-        start = 0
-        for rank_id, size in enumerate(balanced_sizes(len(compounds),
-                                                      spec.ranks_per_job)):
-            for c in compounds[start:start + size]:
-                owner[c] = rank_id
-            start += size
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        shards = {}
-        for r in everything:
-            shards.setdefault(owner[r.compound_id], []).append(r)
+        shards = [[] for _ in range(spec.ranks_per_job)]
+        for r in result.predictions:
+            shards[r.rank_id].append(r)
         shard_files = []
-        for rank_id in range(spec.ranks_per_job):
-            rows = shards.get(rank_id, [])
+        for rank_id, rows in enumerate(shards):
             name = f"shard_{spec.job_id:05d}_{rank_id:03d}.jsonl"
             (out_dir / name).write_text(_shard_text(rows))
             shard_files.append({"file": name, "records": len(rows)})
         with open(out_dir / f"job_{spec.job_id:05d}_manifest.json", "w") as f:
             json.dump({"job_id": spec.job_id, "attempt": attempt,
                        "poses": len(spec.poses),
-                       "scored": len(everything),
+                       "scored": len(result.predictions),
                        "corrupted": len(result.corrupted),
                        "shards": shard_files}, f, indent=2)
         if result.corrupted:
             with open(out_dir / f"job_{spec.job_id:05d}_errors.jsonl", "w") as f:
                 for key, why in result.corrupted:
                     f.write(json.dumps({"pose": key, "reason": why}) + "\n")
-    t3 = time.perf_counter()
-    result.timings = {"startup_s": t1 - t0, "evaluation_s": t2 - t1,
-                      "output_s": t3 - t2}
+    t2 = time.perf_counter()
+    result.timings = {"evaluation_s": t1 - t0, "output_s": t2 - t1}
     return result
 
 
@@ -428,8 +416,6 @@ def run_campaign(library: list[PoseRecord], scorer, n_jobs: int,
         succeeded=sorted(results), abandoned=sorted(abandoned),
         missing_ranges=missing, attempts=attempts, corrupted=corrupted,
         timings={"wall_s": t1 - t0,
-                 "startup_s": sum(r.timings.get("startup_s", 0.0)
-                                  for r in results.values()),
                  "evaluation_s": sum(r.timings.get("evaluation_s", 0.0)
                                      for r in results.values()),
                  "output_s": sum(r.timings.get("output_s", 0.0)

@@ -290,19 +290,25 @@ def _act(g: ValueGraph, kind: str, nid: int) -> int:
 
 
 def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int, prefix: str,
-                dropout_on: bool, bn_state: dict) -> tuple[int, int]:
-    """Returns (prediction node [B,1], latent node [B, latent_width])."""
+                dropout_on: bool, bn_state: dict,
+                frozen: bool = False) -> tuple[int, int]:
+    """Returns (prediction node [B,1], latent node [B, latent_width]).
+
+    A ``frozen`` head's batch-norm runs on, and keeps, the running
+    statistics in ``bn_state`` even in a training tape.
+    """
     g = tape.graph
     p = lambda n: tape.p(f"{prefix}/{n}")
+    bn_training = g.training and not frozen
     use_bn = cfg.batch_norm
-    if use_bn and g.training and g.nodes[x_nid].value.shape[0] < 2:
+    if use_bn and bn_training and g.nodes[x_nid].value.shape[0] < 2:
         # batch statistics are undefined for a single sample
         logger.warning("batch size < 2: batch normalization disabled")
         use_bn = False
 
     def bn(nid, idx):
         return _bn_apply(g, nid, p(f"bn{idx}_gamma"), p(f"bn{idx}_beta"),
-                         bn_state, f"bn{idx}")
+                         bn_state, f"bn{idx}", bn_training)
 
     h1 = _act(g, "relu", g.apply("conv3d", [x_nid, p("conv1_w"), p("conv1_b")]))
     if use_bn:
@@ -329,8 +335,8 @@ def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int, prefix: str,
     return pred, d2
 
 
-def _bn_apply(g, nid, gamma_nid, beta_nid, bn_state, key):
-    attrs = {}
+def _bn_apply(g, nid, gamma_nid, beta_nid, bn_state, key, training):
+    attrs = {"training": training}
     if key in bn_state:
         attrs["state"] = bn_state[key]
     out = g.apply("batch-norm", [nid, gamma_nid, beta_nid], attrs)
@@ -465,7 +471,7 @@ class FusionModel:
         tape.bind(self.fusion_params, "fusion", True)
         x = g.input(vox_batch, "voxels")
         _, lat_v = _voxel_tape(tape, self.voxel_cfg, x, "voxel", training,
-                               self.bn_state)
+                               self.bn_state, freeze_heads)
         _, lat_g = _graph_tape(tape, self.graph_cfg, graph_batch, "graph")
         pred = _fusion_tape(tape, self.fusion_cfg, lat_g, lat_v, "fusion",
                             training)
@@ -776,7 +782,8 @@ def train(model: FusionModel, train_set, val_set, cfg: FusionConfig | None = Non
     """Minibatch MSE training for mid/coherent fusion.
 
     ``train_set``/``val_set`` are lists of FeaturizedItem.  Mid mode freezes
-    both heads and requires them to come from trained checkpoints; coherent
+    both heads, the voxel head's batch-norm statistics included, and
+    requires them to come from trained checkpoints; coherent
     mode trains everything.  Voxel inputs are rotation-augmented during
     training only.  Returns (model, history) where history has one (epoch,
     train_mse, val_mse) row per epoch; the best-validation parameters and

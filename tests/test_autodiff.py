@@ -211,12 +211,6 @@ class TestOps:
         assert grads[pb].shape == b.shape
         assert np.allclose(grads[pa], 2 * a / 14)
 
-    def test_mean_is_arithmetic(self, rng):
-        vals = [rng.normal(size=4) for _ in range(3)]
-        g = ValueGraph()
-        out = g.value(g.apply("arithmetic-mean", [g.input(v) for v in vals]))
-        assert np.allclose(out, np.mean(vals, axis=0))
-
     def test_mse_value(self):
         g = ValueGraph()
         loss = g.apply("mse-loss", [g.input(np.array([1.0, 3.0])),
@@ -234,16 +228,6 @@ class TestOps:
         grads = g.backward(loss)
         expected = m.T @ (2 * (m @ h) / 18)
         assert np.allclose(grads[hp], expected)
-
-    def test_flatten_reshape_roundtrip(self, rng):
-        x = rng.normal(size=(2, 3, 4))
-        g = ValueGraph()
-        xp = g.parameter(x)
-        flat = g.apply("flatten", [xp])
-        assert g.value(flat).shape == (2, 12)
-        back = g.apply("reshape", [flat], {"shape": (2, 3, 4)})
-        assert np.array_equal(g.value(back), x)
-
 
 class TestGradientCheck:
     def build_mlp(self, seed, activation="relu"):

@@ -174,6 +174,21 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(gckpt) in err and "'voxel-head'" in err
 
+    def test_head_checkpoints_checked_before_featurizing(
+            self, heads, tmp_path, monkeypatch):
+        data, vckpt, gckpt = heads
+        calls = []
+        featurize = models.featurize
+        monkeypatch.setattr(
+            models, "featurize",
+            lambda *a, **k: calls.append(a) or featurize(*a, **k))
+        assert run(["train", "--data", str(data), "--mode", "mid",
+                    "--out", str(tmp_path / "mid"), "--epochs", "1",
+                    "--grid-extent", "8", "--c-elem", "2",
+                    "--voxel-ckpt", str(gckpt),
+                    "--graph-ckpt", str(vckpt)]) == cli.EXIT_USAGE
+        assert calls == []
+
     def test_grid_extent_differing_from_heads_exits_1(self, heads, tmp_path,
                                                       capsys):
         data, vckpt, gckpt = heads

@@ -20,7 +20,6 @@ from fusionscreen.harness import (
     PredictionRecord,
     partition,
     pose_key,
-    rank_assignments,
     run_campaign,
     run_job,
     throughput_report,
@@ -53,12 +52,6 @@ class TestPartition:
             partition([], 2)
         with pytest.raises(ValueError):
             partition(library(3), 5)
-
-    def test_rank_assignments_balanced(self):
-        spec = JobSpec(0, tuple(library(100)), ranks_per_job=16)
-        sizes = [len(a) for a in rank_assignments(spec)]
-        assert sum(sizes) == 100
-        assert max(sizes) - min(sizes) <= 1
 
     def test_job_spec_defaults_match_reference_layout(self):
         spec = JobSpec(0, tuple(library(10)))
@@ -138,6 +131,29 @@ class TestRunJob:
                 rec = json.loads(line)
                 owner.setdefault(rec["compound_id"], set()).add(shard.name)
         assert all(len(s) == 1 for s in owner.values())
+
+    def test_rank_id_is_shard_index(self, tmp_path):
+        spec = JobSpec(0, tuple(library(40, poses_per_compound=4)),
+                       ranks_per_job=3)
+        res = run_job(spec, SyntheticScorer(), out_dir=tmp_path)
+        lines = 0
+        for shard in sorted(tmp_path.glob("shard_*.jsonl")):
+            index = int(shard.stem.split("_")[2])
+            for line in shard.read_text().splitlines():
+                assert json.loads(line)["rank_id"] == index
+                lines += 1
+        assert lines == len(res.predictions) == 40
+
+    def test_batches_run_across_the_job(self):
+        sizes = []
+
+        def scorer(poses):
+            sizes.append(len(poses))
+            return SyntheticScorer()(poses)
+
+        spec = JobSpec(0, tuple(library(37)), ranks_per_job=4, batch_size=5)
+        assert run_job(spec, scorer).status == "ok"
+        assert sizes == [5] * 7 + [2]
 
     def test_manifest_counts(self, tmp_path):
         plan = FaultPlan(record_corruption_rate=0.1, seed=2)

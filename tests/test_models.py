@@ -280,6 +280,26 @@ class TestHeadCheckpoints:
                                [it.graph for it in toy_items])[0])
         assert [p.hex() for p in preds] == [float(e).hex() for e in expected]
 
+    def test_mid_training_keeps_frozen_head_batch_norm_state(
+            self, toy_voxel_cfg, toy_graph_cfg, toy_items):
+        vcfg, vparams, bn_state, _ = self.train_bn_voxel_head(
+            toy_voxel_cfg, toy_items)
+        gparams = models.init_graph_params(toy_graph_cfg,
+                                           np.random.default_rng(8))
+        cfg = FusionConfig(mode="mid", n_fusion_layers=3,
+                           fusion_dense_nodes=6,
+                           optimizer=OptimizerConfig("adam", 3e-3),
+                           batch_size=5, epochs=2)
+        m = FusionModel.from_heads(vparams, vcfg, gparams, toy_graph_cfg,
+                                   cfg, bn_state)
+        m, _ = train(m, toy_items[:12], toy_items[12:], cfg, seed=0)
+        for k, v in vparams.items():
+            assert np.array_equal(m.voxel_params[k], v)
+        assert sorted(m.bn_state) == sorted(bn_state)
+        for key, stats in bn_state.items():
+            for stat, value in stats.items():
+                assert np.array_equal(m.bn_state[key][stat], value)
+
     def test_head_checkpoint_without_batch_norm_arrays_loads(
             self, toy_voxel_cfg, tmp_path):
         # the layout written before heads carried batch-norm statistics
