@@ -5,15 +5,17 @@ drops its corrupt records, scores the rest in ``batch_size`` batches across
 the whole job, and writes its predictions grouped by compound into
 ``ranks_per_job`` shards plus a manifest.  Ranks add no concurrency: they
 only name a job's shards, and a record's ``rank_id`` is the index of the
-shard that holds it.  Writes are all-or-nothing: a job that fails at any
-point before the write leaves no shards behind; a scorer that raises or
-returns the wrong number of scores fails only that attempt.
+shard that holds it.  Writes are all-or-nothing: a job encodes every file
+before it writes the first, so a job that fails at any point before the
+write leaves no shards behind; a scorer that raises, returns the wrong
+number of scores or returns a score that is not a real number fails only
+that attempt, and a pose with a non-finite score is logged as unscorable.
 The campaign driver retries failed jobs up to a retry budget and records any
 ranges still missing afterwards, so within one campaign no prediction is
 written twice.  Across campaigns this does not yet hold: a re-run into a
 directory holding a different job layout overwrites only the files whose
 names it shares, and the earlier layout's other shards and manifests stay
-beside its own, so the directory then holds some poses twice (ROADMAP item 3
+beside its own, so the directory then holds some poses twice (ROADMAP item 1
 tracks the fix).
 
 Faults are injected deterministically from a seed: record corruption is a
@@ -26,10 +28,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
+import numbers
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -169,8 +174,13 @@ def partition(library: list[PoseRecord], n_jobs: int,
 # deterministic fault draws
 # ---------------------------------------------------------------------------
 
-def _unit_hash(*parts) -> float:
-    h = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
+def _unit_hash(text: str) -> float:
+    """A uniform draw in [0, 1) from the sha256 of ``text``.
+
+    Every fault draw and synthetic score hashes its parts joined by ``:``
+    into one string, built by the caller in one format expression.
+    """
+    h = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(h[:8], "big") / 2 ** 64
 
 
@@ -182,15 +192,17 @@ def is_corrupted(pose: PoseRecord, plan: FaultPlan) -> bool:
     """Corruption is a stable property of the pose, not of the attempt."""
     if plan.record_corruption_rate == 0.0:
         return False
-    return _unit_hash(plan.seed, "corrupt", pose_key(pose)) \
+    return _unit_hash(f"{plan.seed}:corrupt:{pose_key(pose)}") \
         < plan.record_corruption_rate
 
 
 def attempt_fails(job_id: int, attempt: int, plan: FaultPlan) -> str | None:
     """Returns a failure reason for this (job, attempt), or None."""
-    if _unit_hash(plan.seed, "job", job_id, attempt) < plan.job_failure_rate:
+    if _unit_hash(f"{plan.seed}:job:{job_id}:{attempt}") \
+            < plan.job_failure_rate:
         return "job lost"
-    if _unit_hash(plan.seed, "rank", job_id, attempt) < plan.rank_failure_rate:
+    if _unit_hash(f"{plan.seed}:rank:{job_id}:{attempt}") \
+            < plan.rank_failure_rate:
         return "rank died mid-job"
     return None
 
@@ -215,7 +227,8 @@ class SyntheticScorer:
     def __call__(self, poses: list[PoseRecord]) -> list[float]:
         if self.per_pose_s or self.per_batch_s:
             time.sleep(self.per_pose_s * len(poses) + self.per_batch_s)
-        return [2.0 + 10.0 * _unit_hash(self.seed, "score", pose_key(p))
+        seed = self.seed
+        return [2.0 + 10.0 * _unit_hash(f"{seed}:score:{pose_key(p)}")
                 for p in poses]
 
 
@@ -258,86 +271,113 @@ def run_job(spec: JobSpec, scorer, plan: FaultPlan | None = None,
     job.  Compounds are split contiguously, in sorted order, over
     ``ranks_per_job`` shards (one JSONL file each); every record's
     ``rank_id`` is its shard's index.  Shards and the shard manifest appear
-    only if the whole job succeeds; corrupted records and poses the scorer
-    returns as :class:`Unscorable` are skipped and logged, never written as
-    predictions.
+    only if the whole job succeeds; corrupted records, poses the scorer
+    returns as :class:`Unscorable` and poses with a non-finite score are
+    skipped and logged, never written as predictions.
+
+    A score that is a ``numbers.Real`` is stored as its ``float``; any
+    other score fails the attempt, as does a score list of the wrong length
+    or a record that cannot be encoded.  Every file's text is encoded
+    before the first one is written.
     """
     plan = plan or FaultPlan()
-    result = JobResult(spec.job_id, attempt, "ok")
     t0 = time.perf_counter()
     reason = attempt_fails(spec.job_id, attempt, plan)
     if reason is not None:
-        result.status = "failed"
-        result.failure_reason = reason
-        logger.warning("job %d attempt %d failed: %s",
-                       spec.job_id, attempt, reason)
-        return result
+        return _failed(spec, attempt, reason)
 
+    corrupted = []                     # (pose key, reason)
     clean = []
     for p in spec.poses:
         if is_corrupted(p, plan):
-            result.corrupted.append((pose_key(p), "corrupt record"))
+            corrupted.append((pose_key(p), "corrupt record"))
         else:
             clean.append(p)
-    scored = []                        # (pose, score)
+    scored, scores = [], []
     for i in range(0, len(clean), spec.batch_size):
         batch = clean[i:i + spec.batch_size]
         try:
-            scores = scorer(batch)
+            batch_scores = scorer(batch)
         except Exception as e:
             logger.exception("job %d attempt %d: scorer raised",
                              spec.job_id, attempt)
             return JobResult(spec.job_id, attempt, "failed",
                              failure_reason=f"scorer raised "
                                             f"{type(e).__name__}: {e}")
-        if len(scores) != len(batch):
-            reason = (f"scorer returned {len(scores)} scores for "
-                      f"{len(batch)} poses")
-            logger.warning("job %d attempt %d failed: %s",
-                           spec.job_id, attempt, reason)
-            return JobResult(spec.job_id, attempt, "failed",
-                             failure_reason=reason)
-        for p, score in zip(batch, scores):
-            if isinstance(score, Unscorable):
-                result.corrupted.append((pose_key(p), score.reason))
+        if len(batch_scores) != len(batch):
+            return _failed(spec, attempt,
+                           f"scorer returned {len(batch_scores)} scores for "
+                           f"{len(batch)} poses")
+        for p, score in zip(batch, batch_scores):
+            if type(score) is not float:
+                if isinstance(score, Unscorable):
+                    corrupted.append((pose_key(p), score.reason))
+                    continue
+                if not isinstance(score, numbers.Real):
+                    return _failed(spec, attempt,
+                                   f"scorer returned a {type(score).__name__}"
+                                   f" score for pose {pose_key(p)}")
+                score = float(score)
+            if math.isfinite(score):
+                scored.append(p)
+                scores.append(score)
             else:
-                scored.append((p, score))
+                corrupted.append((pose_key(p), "non-finite score"))
     t1 = time.perf_counter()
 
     # each compound's poses land in exactly one shard
-    compounds = sorted({p.compound_id for p, _ in scored})
+    compounds = sorted({p.compound_id for p in scored})
     shard_of = {c: shard
                 for shard, part in enumerate(
                     _contiguous_split(compounds, spec.ranks_per_job))
                 for c in part}
-    result.predictions = [
+    job_id = spec.job_id
+    predictions = [
         PredictionRecord(p.compound_id, p.target_id, p.pose_id, score,
-                         spec.job_id, shard_of[p.compound_id])
-        for p, score in scored]
+                         job_id, shard_of[p.compound_id])
+        for p, score in zip(scored, scores)]
     if out_dir is not None:
+        try:
+            files = _job_files(spec, attempt, predictions, corrupted)
+        except (TypeError, ValueError) as e:
+            return _failed(spec, attempt, f"unencodable output: "
+                                          f"{type(e).__name__}: {e}")
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        shards = [[] for _ in range(spec.ranks_per_job)]
-        for r in result.predictions:
-            shards[r.rank_id].append(r)
-        shard_files = []
-        for rank_id, rows in enumerate(shards):
-            name = f"shard_{spec.job_id:05d}_{rank_id:03d}.jsonl"
-            (out_dir / name).write_text(_shard_text(rows))
-            shard_files.append({"file": name, "records": len(rows)})
-        with open(out_dir / f"job_{spec.job_id:05d}_manifest.json", "w") as f:
-            json.dump({"job_id": spec.job_id, "attempt": attempt,
-                       "poses": len(spec.poses),
-                       "scored": len(result.predictions),
-                       "corrupted": len(result.corrupted),
-                       "shards": shard_files}, f, indent=2)
-        if result.corrupted:
-            with open(out_dir / f"job_{spec.job_id:05d}_errors.jsonl", "w") as f:
-                for key, why in result.corrupted:
-                    f.write(json.dumps({"pose": key, "reason": why}) + "\n")
+        for name, text in files:
+            (out_dir / name).write_text(text)
     t2 = time.perf_counter()
-    result.timings = {"evaluation_s": t1 - t0, "output_s": t2 - t1}
-    return result
+    return JobResult(job_id, attempt, "ok", predictions, corrupted,
+                     timings={"evaluation_s": t1 - t0, "output_s": t2 - t1})
+
+
+def _failed(spec: JobSpec, attempt: int, reason: str) -> JobResult:
+    logger.warning("job %d attempt %d failed: %s",
+                   spec.job_id, attempt, reason)
+    return JobResult(spec.job_id, attempt, "failed", failure_reason=reason)
+
+
+def _job_files(spec: JobSpec, attempt: int, predictions: list,
+               corrupted: list) -> list[tuple[str, str]]:
+    """(file name, text) of every file a successful job attempt writes: its
+    shards, its manifest and, if any pose was skipped, its error log."""
+    shards = [[] for _ in range(spec.ranks_per_job)]
+    for r in predictions:
+        shards[r.rank_id].append(r)
+    files, shard_files = [], []
+    for rank_id, rows in enumerate(shards):
+        name = f"shard_{spec.job_id:05d}_{rank_id:03d}.jsonl"
+        files.append((name, _shard_text(rows)))
+        shard_files.append({"file": name, "records": len(rows)})
+    files.append((f"job_{spec.job_id:05d}_manifest.json", json.dumps(
+        {"job_id": spec.job_id, "attempt": attempt,
+         "poses": len(spec.poses), "scored": len(predictions),
+         "corrupted": len(corrupted), "shards": shard_files}, indent=2)))
+    if corrupted:
+        files.append((f"job_{spec.job_id:05d}_errors.jsonl", "".join(
+            [json.dumps({"pose": key, "reason": why}) + "\n"
+             for key, why in corrupted])))
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +477,32 @@ def run_campaign(library: list[PoseRecord], scorer, n_jobs: int,
 
 _POSE_ORDER = operator.attrgetter("compound_id", "target_id", "pose_id")
 
+# ``json.dumps`` of a record's ``vars`` with its default separators
+_LINE = ('{"compound_id": %s, "target_id": %s, "pose_id": %r, '
+         '"predicted_pk": %r, "job_id": %r, "rank_id": %r}\n')
+
+
+def _shard_line(r: PredictionRecord) -> str:
+    """One record's JSONL line, byte-equal to ``json.dumps(vars(r))``.
+
+    Fields of exactly the declared types, with a finite score, are encoded
+    the way ``json`` encodes them (strings through
+    ``encode_basestring_ascii``, numbers through their ``__repr__``) in one
+    fixed format; any other record goes through ``json.dumps`` itself.
+    """
+    c, t, pose, pk, job, rank = (r.compound_id, r.target_id, r.pose_id,
+                                 r.predicted_pk, r.job_id, r.rank_id)
+    if (type(c) is str and type(t) is str and type(pose) is int
+            and type(pk) is float and math.isfinite(pk)
+            and type(job) is int and type(rank) is int):
+        return _LINE % (encode_basestring_ascii(c), encode_basestring_ascii(t),
+                        pose, pk, job, rank)
+    return json.dumps(vars(r)) + "\n"
+
 
 def _shard_text(rows: list[PredictionRecord]) -> str:
-    """A shard's JSONL text: one object per record, sorted by pose.
-
-    A record's ``vars`` holds its fields in declaration order, as the
-    dataclass ``__init__`` sets them, and is encoded as it stands, with no
-    ``dataclasses.asdict`` deep copy.
-    """
-    return "".join([json.dumps(vars(r)) + "\n"
-                    for r in sorted(rows, key=_POSE_ORDER)])
+    """A shard's JSONL text: one object per record, sorted by pose."""
+    return "".join([_shard_line(r) for r in sorted(rows, key=_POSE_ORDER)])
 
 
 def load_shards(out_dir) -> list[PredictionRecord]:

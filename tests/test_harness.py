@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusionscreen import harness
 from fusionscreen.complexes import VoxelGrid
@@ -339,6 +340,81 @@ class TestShortScoreLists:
         assert sorted(on_disk) == expected
 
 
+class ReplacingScorer(SyntheticScorer):
+    """Synthetic scores passed through ``convert``; the pose ``key``'s score
+    is replaced by ``value``."""
+
+    def __init__(self, convert=float, key=None, value=None):
+        super().__init__()
+        self.convert, self.key, self.value = convert, key, value
+
+    def __call__(self, poses):
+        return [self.value if pose_key(p) == self.key else self.convert(s)
+                for p, s in zip(poses, super().__call__(poses))]
+
+
+class TestScoreTypes:
+    LIB = library(90, poses_per_compound=3)
+
+    def campaign(self, scorer, out_dir):
+        return run_campaign(self.LIB, scorer, n_jobs=3, out_dir=out_dir,
+                            parallelism=2, retries=1, ranks_per_job=2,
+                            batch_size=4)
+
+    def test_float32_scores_stored_as_float(self, tmp_path):
+        preds, report = self.campaign(ReplacingScorer(np.float32), tmp_path)
+        assert report.complete and len(preds) == 90
+        expected = [float(np.float32(s))
+                    for s in SyntheticScorer()(self.LIB)]
+        assert [r.predicted_pk for r in preds] == expected
+        assert all(type(r.predicted_pk) is float for r in preds)
+        assert sorted(harness.load_shards(tmp_path), key=pose_key_of) == \
+            sorted(preds, key=pose_key_of)
+
+    def test_none_score_fails_the_attempt(self, tmp_path):
+        bad = pose_key(self.LIB[40])                 # in job 1 of 3
+        scorer = ReplacingScorer(key=bad, value=None)
+        spec = partition(self.LIB, 3, ranks_per_job=2, batch_size=4)[1]
+        res = run_job(spec, scorer, out_dir=tmp_path)
+        assert res.status == "failed"
+        assert res.failure_reason == \
+            f"scorer returned a NoneType score for pose {bad}"
+        assert list(tmp_path.iterdir()) == []
+        preds, report = self.campaign(scorer, tmp_path)
+        assert report.abandoned == [1] and report.attempts[1] == 2
+        assert len(preds) == 60
+        assert {int(p.name.split("_")[1])
+                for p in tmp_path.glob("shard_*.jsonl")} == {0, 2}
+        assert "null" not in "".join(
+            p.read_text() for p in tmp_path.glob("shard_*.jsonl"))
+
+    @pytest.mark.parametrize("value", [float("nan"), np.float32("nan"),
+                                       float("-inf")])
+    def test_non_finite_score_logged_as_unscorable(self, tmp_path, value):
+        bad = pose_key(self.LIB[40])
+        preds, report = self.campaign(ReplacingScorer(key=bad, value=value),
+                                      tmp_path)
+        assert report.complete
+        assert report.corrupted == [(bad, "non-finite score")]
+        assert len(preds) == 89
+        assert bad not in {pose_key_of(r) for r in preds}
+        logged = (tmp_path / "job_00001_errors.jsonl").read_text()
+        assert logged == json.dumps({"pose": bad,
+                                     "reason": "non-finite score"}) + "\n"
+        assert len(harness.load_shards(tmp_path)) == 89
+
+    def test_unencodable_record_fails_the_attempt(self, tmp_path):
+        # the last compound lands in the last shard, so a writer encoding
+        # as it goes would leave the first shard behind
+        lib = library(12, poses_per_compound=4)
+        lib[-1] = PoseRecord(lib[-1].compound_id, "t0", np.int64(3))
+        res = run_job(JobSpec(0, tuple(lib), ranks_per_job=3),
+                      SyntheticScorer(), out_dir=tmp_path)
+        assert res.status == "failed"
+        assert res.failure_reason.startswith("unencodable output: TypeError")
+        assert list(tmp_path.iterdir()) == []
+
+
 def reference_shard_text(records):
     """Shard text as ``dataclasses.asdict`` per record, sorted by pose."""
     rows = sorted(records, key=lambda r: (r.compound_id, r.target_id,
@@ -374,6 +450,21 @@ class TestShardIO:
             shard = tmp_path / f"shard_00002_{rank_id:03d}.jsonl"
             assert shard.read_bytes() == \
                 reference_shard_text(records).encode()
+
+    _text = st.text(alphabet=st.characters(codec="utf-8"), max_size=12) | \
+        st.sampled_from(['"', "\\", "\x00\x1f\n\t", "\u00e9\u6f22",
+                         "\U0001f600", 'a"b\\c'])
+    _int = st.integers(-2 ** 80, 2 ** 80) | st.integers(0, 99) | \
+        st.booleans()
+    _float = st.floats() | st.sampled_from(
+        [-0.0, 5e-324, 2.225073858507201e-308, 1e16, 1e-7, float("nan"),
+         float("inf"), float("-inf")]) | st.floats().map(np.float64)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(PredictionRecord, _text, _text, _int, _float,
+                              _int, _int), max_size=8))
+    def test_shard_text_byte_equal_to_asdict_reference(self, records):
+        assert harness._shard_text(records) == reference_shard_text(records)
 
     def test_load_shards_round_trip(self, tmp_path):
         lib = library(200, poses_per_compound=5)
