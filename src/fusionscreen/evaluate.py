@@ -67,19 +67,29 @@ def aggregate_best_pose(records, direction: str = "max") -> dict:
     """Collapses per-pose scores to one score per (compound, target).
 
     ``records`` is an iterable of objects with compound_id, target_id,
-    pose_id and predicted_pk.  Ties keep the lowest pose_id.  Returns
+    pose_id and predicted_pk, such as the slotted records ``load_shards``
+    returns.  Ties keep the lowest pose_id.  Returns
     {(compound_id, target_id): (pose_id, score)}.
+
+    One pass keeps a [signed score, pose_id] pair per key, the score
+    multiplied by -1.0 for "max" and 1.0 for "min", and replaces it only
+    for a strictly lower signed score, or an equal one with a lower pose_id.
+    The returned score is multiplied back, so an ``int`` comes back as a
+    ``float``; a NaN score never replaces nor is replaced.
     """
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be max or min, got {direction!r}")
     best: dict = {}
-    sign = 1.0 if direction == "max" else -1.0
+    neg = -1.0 if direction == "max" else 1.0
     for r in records:
         key = (r.compound_id, r.target_id)
-        cand = (-sign * r.predicted_pk, r.pose_id)
-        if key not in best or cand < best[key]:
-            best[key] = cand
-    return {k: (pid, -sign * negscore) for k, (negscore, pid) in best.items()}
+        score = neg * r.predicted_pk
+        cur = best.get(key)
+        if cur is None:
+            best[key] = [score, r.pose_id]
+        elif score < cur[0] or (score == cur[0] and r.pose_id < cur[1]):
+            cur[0], cur[1] = score, r.pose_id
+    return {k: (pid, neg * score) for k, (score, pid) in best.items()}
 
 
 def filter_by_rmsd(records, rmsd, cutoff: float):

@@ -31,9 +31,10 @@ import logging
 import math
 import numbers
 import operator
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -53,7 +54,7 @@ class PoseRecord:
     payload: object = None     # featurized item for model scorers, or None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionRecord:
     compound_id: str
     target_id: str
@@ -61,6 +62,37 @@ class PredictionRecord:
     predicted_pk: float
     job_id: int
     rank_id: int
+
+
+_FIELDS = tuple(f.name for f in fields(PredictionRecord))
+
+
+class _UnfrozenRecord:
+    """:class:`PredictionRecord`'s slot layout without its frozen
+    ``__setattr__``; two classes with the same ``__slots__`` allow
+    ``__class__`` assignment between them."""
+    __slots__ = PredictionRecord.__slots__
+
+
+def _trusted_record(compound_id, target_id, pose_id, predicted_pk, job_id,
+                    rank_id) -> PredictionRecord:
+    """``PredictionRecord(...)`` of the same values, built without the frozen
+    ``__init__`` and its ``object.__setattr__`` per field.
+
+    Fills the six slots of an :class:`_UnfrozenRecord`, then makes it a
+    ``PredictionRecord``.  Like ``__init__`` it checks nothing: ``run_job``
+    passes its own poses' ids and float scores, and ``load_shards`` values
+    whose types it has checked.
+    """
+    r = _UnfrozenRecord()
+    r.compound_id = compound_id
+    r.target_id = target_id
+    r.pose_id = pose_id
+    r.predicted_pk = predicted_pk
+    r.job_id = job_id
+    r.rank_id = rank_id
+    r.__class__ = PredictionRecord
+    return r
 
 
 @dataclass(frozen=True)
@@ -333,8 +365,8 @@ def run_job(spec: JobSpec, scorer, plan: FaultPlan | None = None,
                 for c in part}
     job_id = spec.job_id
     predictions = [
-        PredictionRecord(p.compound_id, p.target_id, p.pose_id, score,
-                         job_id, shard_of[p.compound_id])
+        _trusted_record(p.compound_id, p.target_id, p.pose_id, score,
+                        job_id, shard_of[p.compound_id])
         for p, score in zip(scored, scores)]
     if out_dir is not None:
         try:
@@ -477,13 +509,14 @@ def run_campaign(library: list[PoseRecord], scorer, n_jobs: int,
 
 _POSE_ORDER = operator.attrgetter("compound_id", "target_id", "pose_id")
 
-# ``json.dumps`` of a record's ``vars`` with its default separators
+# ``json.dumps`` of a record's fields with its default separators
 _LINE = ('{"compound_id": %s, "target_id": %s, "pose_id": %r, '
          '"predicted_pk": %r, "job_id": %r, "rank_id": %r}\n')
 
 
 def _shard_line(r: PredictionRecord) -> str:
-    """One record's JSONL line, byte-equal to ``json.dumps(vars(r))``.
+    """One record's JSONL line, byte-equal to ``json.dumps`` of the dict of
+    its six fields in declaration order.
 
     Fields of exactly the declared types, with a finite score, are encoded
     the way ``json`` encodes them (strings through
@@ -497,7 +530,7 @@ def _shard_line(r: PredictionRecord) -> str:
             and type(job) is int and type(rank) is int):
         return _LINE % (encode_basestring_ascii(c), encode_basestring_ascii(t),
                         pose, pk, job, rank)
-    return json.dumps(vars(r)) + "\n"
+    return json.dumps(dict(zip(_FIELDS, (c, t, pose, pk, job, rank)))) + "\n"
 
 
 def _shard_text(rows: list[PredictionRecord]) -> str:
@@ -509,22 +542,70 @@ def load_shards(out_dir) -> list[PredictionRecord]:
     """Reads every shard a campaign wrote back into prediction records, in
     shard-name order and line order within a shard.
 
-    Each shard is parsed in one ``json.loads`` call, as one array of its
-    lines.  Raises ``ValueError`` naming the shard if it cannot be parsed.
+    Each shard's lines are parsed as one JSON array.  A row must hold
+    exactly the six fields: ``compound_id`` and ``target_id`` strings,
+    ``pose_id``, ``job_id`` and ``rank_id`` integers (not booleans), and a
+    finite number ``predicted_pk``, stored as its ``float`` as ``run_job``
+    stores scores.  Rows of exactly those types become slotted records
+    without the frozen ``__init__``.  Raises ``ValueError`` naming the shard
+    if it cannot be parsed, and the shard, the 1-based line and the field
+    for a row that breaks the rule.
     """
     out = []
+    append, isfinite = out.append, math.isfinite
     for path in sorted(Path(out_dir).glob("shard_*.jsonl")):
         lines = path.read_text().split("\n")
         if lines[-1] == "":        # after the newline ending the last record
             lines.pop()
+        lineno = 0
         try:
             rows = json.loads("[" + ",".join(lines) + "]")
             if len(rows) != len(lines):
                 raise ValueError(f"{len(lines)} lines hold {len(rows)} values")
-            out.extend([PredictionRecord(**row) for row in rows])
+            for lineno, row in enumerate(rows, 1):
+                if type(row) is dict and len(row) == 6:
+                    # a missing field reads None and fails its type check
+                    c, t, pose, pk, job, rank = (
+                        row.get("compound_id"), row.get("target_id"),
+                        row.get("pose_id"), row.get("predicted_pk"),
+                        row.get("job_id"), row.get("rank_id"))
+                    if (type(c) is str and type(t) is str
+                            and type(pose) is int and type(pk) is float
+                            and isfinite(pk) and type(job) is int
+                            and type(rank) is int):
+                        append(_trusted_record(c, t, pose, pk, job, rank))
+                        continue
+                append(_checked_record(row))
         except (ValueError, TypeError) as e:
-            raise ValueError(f"unreadable shard {path}: {e}") from e
+            at = f" line {lineno}" if lineno else ""
+            raise ValueError(f"unreadable shard {path}{at}: {e}") from e
     return out
+
+
+def _checked_record(row) -> PredictionRecord:
+    """The record of a shard row outside ``load_shards``' fast path.
+
+    A row whose keys are not exactly the six fields raises the ``TypeError``
+    of ``PredictionRecord(**row)``; a field of the wrong type raises
+    ``ValueError`` naming it.  An integer score becomes its ``float``.
+    """
+    if type(row) is not dict or row.keys() != set(_FIELDS):
+        return PredictionRecord(**row)     # raises: a field is wrong
+    values = []
+    for name in _FIELDS:
+        v = row[name]
+        if name == "predicted_pk":
+            if type(v) is int and abs(v) <= sys.float_info.max:
+                v = float(v)
+            ok, want = type(v) is float and math.isfinite(v), "a finite number"
+        elif name in ("compound_id", "target_id"):
+            ok, want = type(v) is str, "a string"
+        else:
+            ok, want = type(v) is int, "an integer"
+        if not ok:
+            raise ValueError(f"field {name} must be {want}, got {v!r}")
+        values.append(v)
+    return _trusted_record(*values)
 
 
 # ---------------------------------------------------------------------------

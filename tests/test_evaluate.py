@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusionscreen import evaluate as ev
 
@@ -106,6 +107,42 @@ class TestAggregation:
     def test_bad_direction_rejected(self):
         with pytest.raises(ValueError):
             ev.aggregate_best_pose([], "best")
+
+    _score = st.sampled_from([0.0, -0.0, 1.0, 1, -1, 2.5, float("nan"),
+                              np.float64(1.0), np.float64(-0.0),
+                              np.float64("nan")]) | \
+        st.integers(-2 ** 60, 2 ** 60) | st.floats() | \
+        st.floats().map(np.float64)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.builds(Rec, st.sampled_from(["a", "b", "c"]),
+                              st.sampled_from(["x", "y"]),
+                              st.integers(0, 4), _score), max_size=30))
+    def test_matches_tuple_candidate_oracle(self, recs):
+        for direction in ("max", "min"):
+            got = ev.aggregate_best_pose(recs, direction)
+            want = tuple_candidate_best_pose(recs, direction)
+            assert list(got) == list(want)
+            assert [(pid, repr(s), type(s)) for pid, s in got.values()] == \
+                [(pid, repr(s), type(s)) for pid, s in want.values()]
+
+    def test_int_score_comes_back_float(self):
+        best = ev.aggregate_best_pose([Rec("a", "x", 0, 3)])
+        assert best == {("a", "x"): (0, 3.0)}
+        assert type(best[("a", "x")][1]) is float
+
+
+def tuple_candidate_best_pose(records, direction="max"):
+    """The tuple-per-record ``aggregate_best_pose`` it replaced: the smallest
+    (-sign * score, pose_id) candidate per key wins."""
+    best: dict = {}
+    sign = 1.0 if direction == "max" else -1.0
+    for r in records:
+        key = (r.compound_id, r.target_id)
+        cand = (-sign * r.predicted_pk, r.pose_id)
+        if key not in best or cand < best[key]:
+            best[key] = cand
+    return {k: (pid, -sign * negscore) for k, (negscore, pid) in best.items()}
 
 
 class TestRmsdFilter:

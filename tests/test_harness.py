@@ -1,6 +1,10 @@
+import copy
 import dataclasses
 import json
 import logging
+import pickle
+import re
+import tempfile
 import threading
 from pathlib import Path
 
@@ -493,6 +497,105 @@ class TestShardIO:
         shard.write_text(damage(shard.read_text()))
         with pytest.raises(ValueError, match=str(shard)):
             harness.load_shards(tmp_path)
+
+    _finite = st.floats(allow_nan=False, allow_infinity=False) | \
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                         1e16, -1e16, 1e-7, 1.7976931348623157e308])
+    _declared_int = st.integers(-2 ** 80, 2 ** 80) | st.integers(0, 99)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(PredictionRecord, _text, _text, _declared_int,
+                              _finite, _declared_int, _declared_int),
+                    max_size=8))
+    def test_load_shards_equals_line_by_line_reference(self, records):
+        with tempfile.TemporaryDirectory() as d:
+            shard = Path(d) / "shard_00000_000.jsonl"
+            shard.write_text(harness._shard_text(records))
+            loaded = harness.load_shards(d)
+            reference = reference_load(d)
+        assert typed(loaded) == typed(reference)
+        assert typed(loaded) == typed(sorted(records, key=harness._POSE_ORDER))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("predicted_pk", "null", "a finite number, got None"),
+        ("predicted_pk", "NaN", "a finite number, got nan"),
+        ("predicted_pk", "-Infinity", "a finite number, got -inf"),
+        ("predicted_pk", '"5.0"', "a finite number, got '5.0'"),
+        ("predicted_pk", "1" + "0" * 400, "a finite number, got 1000"),
+        ("pose_id", '"1"', "an integer, got '1'"),
+        ("pose_id", "1.0", "an integer, got 1.0"),
+        ("job_id", "true", "an integer, got True"),
+        ("rank_id", "null", "an integer, got None"),
+        ("compound_id", "3", "a string, got 3"),
+        ("target_id", "[]", r"a string, got \[\]"),
+    ])
+    def test_wrong_type_raises_naming_shard_line_and_field(
+            self, tmp_path, field, value, message):
+        run_job(JobSpec(0, tuple(library(12, 3)), ranks_per_job=2),
+                SyntheticScorer(), out_dir=tmp_path)
+        shard = tmp_path / "shard_00000_001.jsonl"
+        lines = shard.read_text().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        lines[1] = json.dumps(row).replace(
+            f'"{field}": {json.dumps(row[field])}',
+            f'"{field}": {value}') + "\n"
+        assert lines[1] != json.dumps(row) + "\n"
+        shard.write_text("".join(lines))
+        with pytest.raises(ValueError) as err:
+            harness.load_shards(tmp_path)
+        assert str(err.value).startswith(
+            f"unreadable shard {shard} line 2: field {field} must be ")
+        assert re.search(message, str(err.value))
+
+    def test_integer_score_loads_as_its_float(self, tmp_path):
+        line = json.dumps({"compound_id": "c1", "target_id": "t0",
+                           "pose_id": 0, "predicted_pk": 7, "job_id": 0,
+                           "rank_id": 0})
+        (tmp_path / "shard_00000_000.jsonl").write_text(line + "\n")
+        [record] = harness.load_shards(tmp_path)
+        assert record == PredictionRecord("c1", "t0", 0, 7.0, 0, 0)
+        assert type(record.predicted_pk) is float
+
+
+def typed(records):
+    """Each record's fields as (repr, type) pairs: -0.0 differs from 0.0 and
+    an int from its float."""
+    return [[(repr(getattr(r, f)), type(getattr(r, f)))
+             for f in harness._FIELDS] for r in records]
+
+
+class TestPredictionRecord:
+    RECORD = PredictionRecord("cé", "t0", 3, -0.0, 2, 1)
+
+    def test_frozen_and_slotted(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.RECORD.pose_id = 4
+        assert not hasattr(self.RECORD, "__dict__")
+        assert harness._FIELDS == PredictionRecord.__match_args__
+
+    def test_hash_and_equality_by_value(self):
+        twin = PredictionRecord("cé", "t0", 3, -0.0, 2, 1)
+        assert twin == self.RECORD and hash(twin) == hash(self.RECORD)
+        assert twin is not self.RECORD
+        assert len({twin, self.RECORD}) == 1
+        assert self.RECORD != dataclasses.replace(self.RECORD, rank_id=0)
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trips(self, round_trip):
+        back = round_trip(self.RECORD)
+        assert back == self.RECORD and typed([back]) == typed([self.RECORD])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(TestShardIO._text, TestShardIO._text, TestShardIO._int,
+                     TestShardIO._float, TestShardIO._int, TestShardIO._int))
+    def test_trusted_record_equals_public_constructor(self, values):
+        built = harness._trusted_record(*values)
+        public = PredictionRecord(*values)
+        assert type(built) is PredictionRecord
+        assert typed([built]) == typed([public])
+        assert built == public and hash(built) == hash(public)
 
 
 class TestThroughput:
