@@ -35,6 +35,20 @@ so tile buffers of 16 MB and less left the other temporaries of a 56-pose
 criterion-3 prediction to be mapped and faulted afresh on some or all runs
 (over 200x the faults, about 30% slower).  24 MB stays below glibc's 32 MB
 cap on that threshold, so the buffer itself is reused from the heap.
+
+A conv3d node whose ``sparse_input`` attr is set computes its forward from
+the input's nonzero cells instead (``_scatter_correlate``): a paper-size
+voxel grid fills about 57 of its 32,768 cells, and the dense im2col would
+multiply the rest by zero.  Its im2col is a CSR matrix built from
+``np.nonzero(x)``, multiplied by the reshaped kernel in one scipy product per
+tile; a tile is a run of whole samples, or depth slabs of one sample, whose
+sparse entries and dense product rows fit :data:`_TILE_BYTES`.  It sums in
+another order than the GEMM, so values agree with the dense path to about
+1e-16 relative, not bitwise, but each sample's output is still independent
+of the rest of the batch.  Backward stays dense: the dense input is on the
+tape.  ``models`` sets the attr on the first convolution of
+``predict_batch`` only; training and validation keep the dense path, since
+the golden training histories pin their losses bitwise.
 """
 
 from __future__ import annotations
@@ -42,6 +56,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
@@ -61,6 +76,9 @@ LEAKY_SLOPE = 0.01
 
 # Bytes of one conv3d im2col tile; see the module docstring.
 _TILE_BYTES = 24 * 2 ** 20
+# About the bytes one sparse im2col entry takes while its tile is built:
+# int64 positions and indices, their masked copies and the CSR matrix.
+_SCATTER_ENTRY_BYTES = 96
 
 
 class GraphError(ValueError):
@@ -303,6 +321,85 @@ def _correlate(x, w):
     return out
 
 
+def _scatter_correlate(x, w):
+    """``_correlate`` summed over the nonzero cells of ``x`` only.
+
+    Each tile's im2col is a CSR matrix [positions, C*k^3] built from
+    ``np.nonzero(x)``: every nonzero cell lands once per kernel offset whose
+    output position lies in the box.  One sparse-dense product with the
+    reshaped kernel gives the tile's output channels-last.  Output rows sum
+    in ascending column order, whatever the tile, so a sample's values do
+    not depend on the rest of the batch.
+    """
+    b, c, d, h, wd = x.shape
+    o, k = w.shape[0], w.shape[2]
+    p = k // 2
+    taps = k ** 3
+    kernel = np.ascontiguousarray(w.reshape(o, -1).T)       # [C*k^3, O]
+    # per kernel offset (i, j, l), in kernel row order: output minus input
+    # position along each axis
+    shift = [p - a.ravel() for a in np.indices((k, k, k))]
+    nz = np.nonzero(x)
+    vals = x[nz]
+    nb, nc, nzz, ny, nx = nz
+    starts = np.searchsorted(nb, np.arange(b + 1))
+    # Bytes of each sample's output depth planes in a tile: the planes'
+    # sparse entries (at most k^2 per nonzero cell in the k input planes
+    # that reach the plane) and their dense channels-last product rows.
+    per_plane = np.bincount(nb * d + nzz, minlength=b * d).reshape(b, d)
+    window = np.cumsum(np.pad(per_plane, ((0, 0), (p + 1, p))), axis=1)
+    cost = ((window[:, k:] - window[:, :-k]) * (k * k * _SCATTER_ENTRY_BYTES)
+            + h * wd * o * x.itemsize)
+    out = np.empty((b, o, d, h, wd))
+    for b0, b1, d0, d1 in _scatter_tiles(cost):
+        sel = slice(starts[b0], starts[b1])
+        tb, tc, tz, ty, tx, tv = (a[sel] for a in (nb, nc, nzz, ny, nx, vals))
+        if d1 - d0 < d:
+            near = (tz >= d0 - p) & (tz < d1 + p)
+            tb, tc, tz, ty, tx, tv = (a[near] for a in (tb, tc, tz, ty, tx, tv))
+        oz = tz[:, None] + shift[0]
+        oy = ty[:, None] + shift[1]
+        ox = tx[:, None] + shift[2]
+        keep = ((oz >= d0) & (oz < d1) & (oy >= 0) & (oy < h)
+                & (ox >= 0) & (ox < wd))
+        rows = (((tb - b0)[:, None] * (d1 - d0) + oz - d0) * h + oy) * wd + ox
+        cols = tc[:, None] * taps + np.arange(taps)
+        im2col = sp.csr_matrix(
+            (np.broadcast_to(tv[:, None], keep.shape)[keep],
+             (rows[keep], cols[keep])),
+            shape=((b1 - b0) * (d1 - d0) * h * wd, c * taps))
+        out[b0:b1, :, d0:d1] = (im2col @ kernel).reshape(
+            b1 - b0, d1 - d0, h, wd, o).transpose(0, 4, 1, 2, 3)
+    return out
+
+
+def _scatter_tiles(cost):
+    """Tiles ``(b0, b1, d0, d1)`` of ``_scatter_correlate`` for ``cost``
+    [B, D], the bytes of each sample's output depth plane: runs of whole
+    samples within :data:`_TILE_BYTES`, or depth slabs of one sample that
+    exceeds it alone (at least one plane each)."""
+    per_sample = cost.sum(axis=1)
+    b0 = 0
+    while b0 < len(per_sample):
+        if per_sample[b0] <= _TILE_BYTES:
+            b1 = _fill(per_sample, b0)
+            yield b0, b1, 0, cost.shape[1]
+        else:
+            b1, d0 = b0 + 1, 0
+            while d0 < cost.shape[1]:
+                d1 = _fill(cost[b0], d0)
+                yield b0, b1, d0, d1
+                d0 = d1
+        b0 = b1
+
+
+def _fill(cost, i):
+    """End of the longest run ``cost[i:j]`` within :data:`_TILE_BYTES`,
+    one element at least."""
+    total = np.cumsum(cost[i:])
+    return i + max(1, int(np.searchsorted(total, _TILE_BYTES, side="right")))
+
+
 @_op("conv3d")
 def _conv3d():
     # Cubic kernel, stride 1, zero padding k//2: spatial extent is preserved.
@@ -321,7 +418,9 @@ def _conv3d():
             f"input channels {x.shape} vs kernel {w.shape}",
         )
         _check(b.shape == (w.shape[0],), "conv3d", f"bias {b.shape} vs kernel {w.shape}")
-        out = _correlate(x, w)
+        correlate = (_scatter_correlate if node.attrs.get("sparse_input")
+                     else _correlate)
+        out = correlate(x, w)
         out += b[None, :, None, None, None]
         return out
 

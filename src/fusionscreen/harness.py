@@ -307,10 +307,11 @@ def run_job(spec: JobSpec, scorer, plan: FaultPlan | None = None,
     returns as :class:`Unscorable` and poses with a non-finite score are
     skipped and logged, never written as predictions.
 
-    A score that is a ``numbers.Real`` is stored as its ``float``; any
-    other score fails the attempt, as does a score list of the wrong length
-    or a record that cannot be encoded.  Every file's text is encoded
-    before the first one is written.
+    A score that is a ``numbers.Real`` is stored as its ``float``, and one
+    too large for a float is skipped as non-finite; any other score fails
+    the attempt, as does a score list of the wrong length or a record that
+    cannot be encoded.  Every file's text is encoded before the first one is
+    written.
     """
     plan = plan or FaultPlan()
     t0 = time.perf_counter()
@@ -349,7 +350,10 @@ def run_job(spec: JobSpec, scorer, plan: FaultPlan | None = None,
                     return _failed(spec, attempt,
                                    f"scorer returned a {type(score).__name__}"
                                    f" score for pose {pose_key(p)}")
-                score = float(score)
+                try:
+                    score = float(score)
+                except OverflowError:   # e.g. an int beyond float range
+                    score = math.inf
             if math.isfinite(score):
                 scored.append(p)
                 scores.append(score)

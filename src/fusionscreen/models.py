@@ -290,12 +290,14 @@ def _act(g: ValueGraph, kind: str, nid: int) -> int:
 
 
 def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int, prefix: str,
-                dropout_on: bool, bn_state: dict,
-                frozen: bool = False) -> tuple[int, int]:
+                dropout_on: bool, bn_state: dict, frozen: bool = False,
+                sparse_input: bool = False) -> tuple[int, int]:
     """Returns (prediction node [B,1], latent node [B, latent_width]).
 
     A ``frozen`` head's batch-norm runs on, and keeps, the running
-    statistics in ``bn_state`` even in a training tape.
+    statistics in ``bn_state`` even in a training tape.  ``sparse_input``
+    runs the first convolution over the grid's occupied cells only: the
+    same values up to the last bits, since it sums in another order.
     """
     g = tape.graph
     p = lambda n: tape.p(f"{prefix}/{n}")
@@ -310,7 +312,8 @@ def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int, prefix: str,
         return _bn_apply(g, nid, p(f"bn{idx}_gamma"), p(f"bn{idx}_beta"),
                          bn_state, f"bn{idx}", bn_training)
 
-    h1 = _act(g, "relu", g.apply("conv3d", [x_nid, p("conv1_w"), p("conv1_b")]))
+    h1 = _act(g, "relu", g.apply("conv3d", [x_nid, p("conv1_w"), p("conv1_b")],
+                                 {"sparse_input": sparse_input}))
     if use_bn:
         h1 = bn(h1, 1)
     h2 = _act(g, "relu", g.apply("conv3d", [h1, p("conv2_w"), p("conv2_b")]))
@@ -456,8 +459,9 @@ class FusionModel:
     # -- tape construction ----------------------------------------------
     def build_tape(self, vox_batch: np.ndarray, graph_batch: GraphBatch,
                    training: bool = False, labels: np.ndarray | None = None,
-                   seed: int = 0, freeze_heads: bool = False):
-        """Builds the full forward tape.
+                   seed: int = 0, freeze_heads: bool = False,
+                   sparse_input: bool = False):
+        """Builds the full forward tape; ``sparse_input`` as in ``_voxel_tape``.
 
         Returns (graph, pred_node, loss_node_or_None, name->nid map).
         """
@@ -471,7 +475,7 @@ class FusionModel:
         tape.bind(self.fusion_params, "fusion", True)
         x = g.input(vox_batch, "voxels")
         _, lat_v = _voxel_tape(tape, self.voxel_cfg, x, "voxel", training,
-                               self.bn_state, freeze_heads)
+                               self.bn_state, freeze_heads, sparse_input)
         _, lat_g = _graph_tape(tape, self.graph_cfg, graph_batch, "graph")
         pred = _fusion_tape(tape, self.fusion_cfg, lat_g, lat_v, "fusion",
                             training)
@@ -483,7 +487,9 @@ class FusionModel:
 
         Returns (predictions, errors): predictions is a list aligned with the
         input (None for failed items); errors is a list of (index, reason).
-        Malformed items never abort the batch.
+        Malformed items never abort the batch.  The first convolution sums
+        over occupied voxels only, so a score can differ in the last bits
+        from the dense path that training and validation take.
         """
         preds: list[float | None] = [None] * len(items)
         errors: list[tuple[int, str]] = []
@@ -501,18 +507,22 @@ class FusionModel:
         if self.fusion_cfg.mode == "late":
             scores = late_fusion_predict(
                 voxel_head_forward(self.voxel_params, self.voxel_cfg, grids,
-                                   bn_state=self.bn_state)[0],
+                                   bn_state=self.bn_state,
+                                   sparse_input=True)[0],
                 graph_head_forward(self.graph_params, self.graph_cfg,
                                    graphs)[0])
         else:
-            scores = self._eval_tape_predict(grids, graphs, batch_seed)
+            scores = self._eval_tape_predict(grids, graphs, batch_seed,
+                                             sparse_input=True)
         for i, s in zip(valid, scores):
             preds[i] = float(s)
         return preds, errors
 
-    def _eval_tape_predict(self, grids, graphs, seed: int = 0) -> np.ndarray:
+    def _eval_tape_predict(self, grids, graphs, seed: int = 0,
+                           sparse_input: bool = False) -> np.ndarray:
         vox = np.stack([v.occupancy for v in grids])
-        g, pred, _, _ = self.build_tape(vox, batch_graphs(graphs), seed=seed)
+        g, pred, _, _ = self.build_tape(vox, batch_graphs(graphs), seed=seed,
+                                        sparse_input=sparse_input)
         return g.value(pred)[:, 0]
 
     def _validate_item(self, item) -> str | None:
@@ -623,8 +633,10 @@ def load_head(path, expected_cfg) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 def _head_tape(kind: str, params: dict, cfg, x, training: bool = False,
-               seed: int = 0, bn_state: dict | None = None, labels=None):
-    """One head's tape over ``x``, a voxel batch or a GraphBatch.
+               seed: int = 0, bn_state: dict | None = None, labels=None,
+               sparse_input: bool = False):
+    """One head's tape over ``x``, a voxel batch or a GraphBatch;
+    ``sparse_input`` as in ``_voxel_tape``.
 
     Returns (graph, pred_node, latent_node, loss_node_or_None, name->nid map).
     """
@@ -633,7 +645,8 @@ def _head_tape(kind: str, params: dict, cfg, x, training: bool = False,
     tape.bind(params, kind, training)
     if kind == "voxel":
         pred, lat = _voxel_tape(tape, cfg, g.input(x, "voxels"), "voxel",
-                                training, {} if bn_state is None else bn_state)
+                                training, {} if bn_state is None else bn_state,
+                                sparse_input=sparse_input)
     else:
         pred, lat = _graph_tape(tape, cfg, x, "graph")
     return g, pred, lat, _mse_loss(g, pred, labels), tape.pnodes
@@ -648,11 +661,13 @@ def _mse_loss(g: ValueGraph, pred: int, labels) -> int | None:
 
 def voxel_head_forward(params: dict, cfg: VoxelHeadConfig, grids,
                        training: bool = False, seed: int = 0,
-                       bn_state: dict | None = None):
-    """Returns (predictions [B], latents [B, latent_width])."""
+                       bn_state: dict | None = None,
+                       sparse_input: bool = False):
+    """Returns (predictions [B], latents [B, latent_width]);
+    ``sparse_input`` as in ``_voxel_tape``."""
     g, pred, lat, _, _ = _head_tape("voxel", params, cfg,
                                     _stack_grids(grids, cfg), training, seed,
-                                    bn_state)
+                                    bn_state, sparse_input=sparse_input)
     return g.value(pred)[:, 0], g.value(lat)
 
 
@@ -704,7 +719,12 @@ def featurize(complexes: list[SyntheticComplex], voxel_cfg: VoxelHeadConfig,
 
 
 def _eval_mse(predict, items: list[FeaturizedItem], chunk: int = 256) -> float:
-    """Chunked MSE of ``predict(part)``; a FusionModel predicts by eval tape."""
+    """Chunked MSE of ``predict(part)``; a FusionModel predicts by eval tape.
+
+    Validation keeps the dense first convolution: the golden training
+    histories pin ``val_mse`` bitwise, and the sparse-input path of
+    ``predict_batch`` sums in another order.
+    """
     if isinstance(predict, FusionModel):
         model = predict
         predict = lambda part: model._eval_tape_predict(

@@ -422,6 +422,104 @@ class TestTiledConv:
         assert gradient_check(g, loss, 1e-5) < 1e-4
 
 
+def atom_grid(rng, shape, atoms, spread=None):
+    """[B,C,D,H,W] grids of unit atoms, each added to one cell as
+    ``voxelize`` does; ``spread`` (in cells) scatters them around the centre
+    and clips those outside to boundary cells."""
+    b, c, box = shape[0], shape[1], np.array(shape[2:])
+    x = np.zeros(shape)
+    for i in range(b):
+        if spread is None:
+            cells = rng.integers(0, box, size=(atoms, 3))
+        else:
+            cells = np.clip(np.floor(rng.normal(box / 2, spread, (atoms, 3))),
+                            0, box - 1).astype(int)
+        chans = rng.integers(0, c, size=atoms)
+        np.add.at(x[i], (chans, *cells.T), 1.0)
+    return x
+
+
+def sparse_conv(x, w, b):
+    g = ValueGraph()
+    return g.value(g.apply("conv3d", [g.input(x), g.parameter(w),
+                                      g.parameter(b)], {"sparse_input": True}))
+
+
+def relative_error(a, ref):
+    return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
+
+
+class TestScatterConv:
+    """The ``sparse_input`` forward of conv3d against the dense one."""
+
+    @pytest.mark.parametrize("xs,ws,atoms", [
+        ((4, 8, 16, 16, 16), (32, 8, 5, 5, 5), 57),    # paper size
+        ((6, 2, 8, 8, 8), (4, 2, 3, 3, 3), 37),        # criterion-3 size
+    ])
+    def test_matches_dense_correlation(self, xs, ws, atoms, rng):
+        x = atom_grid(rng, xs, atoms)
+        w, b = rng.normal(size=ws), rng.normal(size=ws[0])
+        ref = autodiff._correlate(x, w) + b[None, :, None, None, None]
+        assert relative_error(sparse_conv(x, w, b), ref) < 1e-12
+
+    def test_atoms_clipped_to_boundary_cells(self, rng):
+        x = atom_grid(rng, (3, 4, 8, 8, 8), 60, spread=6.0)
+        edge = np.zeros(8, bool)
+        edge[[0, -1]] = True
+        assert x[:, :, edge].sum() > 20             # many on the faces
+        w, b = rng.normal(size=(5, 4, 5, 5, 5)), rng.normal(size=5)
+        ref = autodiff._correlate(x, w) + b[None, :, None, None, None]
+        assert relative_error(sparse_conv(x, w, b), ref) < 1e-12
+
+    def test_cell_holding_two_atoms(self, rng):
+        x = atom_grid(rng, (2, 2, 8, 8, 8), 10)
+        x[1, 1, 3, 4, 5] = 2.0
+        w, b = rng.normal(size=(3, 2, 3, 3, 3)), rng.normal(size=3)
+        ref = autodiff._correlate(x, w) + b[None, :, None, None, None]
+        assert relative_error(sparse_conv(x, w, b), ref) < 1e-12
+
+    def test_empty_grid_gives_the_bias(self, rng):
+        w, b = rng.normal(size=(3, 2, 3, 3, 3)), rng.normal(size=3)
+        out = sparse_conv(np.zeros((2, 2, 4, 4, 4)), w, b)
+        assert out.tobytes() == np.broadcast_to(
+            b[None, :, None, None, None], out.shape).tobytes()
+
+    def test_dense_grid_tiles_within_budget(self, rng, monkeypatch):
+        # the dense first sample splits into depth slabs, the sparse ones
+        # share tiles; each tile's entries and product rows fit the budget
+        monkeypatch.setattr(autodiff, "_TILE_BYTES", 250_000)
+        x = atom_grid(rng, (6, 2, 6, 5, 4), 4)
+        x[0] = rng.normal(size=x.shape[1:])
+        w, b = rng.normal(size=(48, 2, 3, 3, 3)), rng.normal(size=48)
+        built = []
+        csr = sp.csr_matrix
+        monkeypatch.setattr(sp, "csr_matrix",
+                            lambda *a, **kw: built.append(csr(*a, **kw))
+                            or built[-1])
+        out = sparse_conv(x, w, b)
+        ref = autodiff._correlate(x, w) + b[None, :, None, None, None]
+        assert relative_error(out, ref) < 1e-12
+        sample = 6 * 5 * 4
+        rows = [m.shape[0] for m in built]
+        assert sum(rows) == 6 * sample
+        assert min(rows) < sample < max(rows)
+        for m in built:
+            assert (m.nnz * autodiff._SCATTER_ENTRY_BYTES
+                    + m.shape[0] * 48 * 8) <= autodiff._TILE_BYTES
+
+    @pytest.mark.parametrize("tile", [None, 250_000])
+    def test_sample_output_independent_of_batch(self, tile, rng, monkeypatch):
+        if tile is not None:
+            monkeypatch.setattr(autodiff, "_TILE_BYTES", tile)
+        x = atom_grid(rng, (5, 2, 6, 5, 4), 12)
+        x[2] = rng.normal(size=x.shape[1:])
+        w, b = rng.normal(size=(3, 2, 3, 3, 3)), rng.normal(size=3)
+        batched = sparse_conv(x, w, b)
+        for i in range(len(x)):
+            assert sparse_conv(x[i:i + 1], w, b)[0].tobytes() == \
+                batched[i].tobytes()
+
+
 class TestMemoryLifetime:
     """Intermediate gradients die during backward; rewritten kernels give
     the same bits as the expressions they replaced."""

@@ -407,6 +407,16 @@ class TestScoreTypes:
                                      "reason": "non-finite score"}) + "\n"
         assert len(harness.load_shards(tmp_path)) == 89
 
+    def test_score_beyond_float_range_logged_as_non_finite(self, tmp_path):
+        lib = library(4)
+        preds, report = run_campaign(lib, lambda batch: [10 ** 400] * len(batch),
+                                     n_jobs=1, out_dir=tmp_path, retries=0)
+        assert report.complete and report.abandoned == []
+        assert preds == []
+        assert report.corrupted == [(pose_key(p), "non-finite score")
+                                    for p in lib]
+        assert harness.load_shards(tmp_path) == []
+
     def test_unencodable_record_fails_the_attempt(self, tmp_path):
         # the last compound lands in the last shard, so a writer encoding
         # as it goes would leave the first shard behind

@@ -4,8 +4,8 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from fusionscreen import complexes, models
-from fusionscreen.autodiff import ValueGraph
+from fusionscreen import autodiff, complexes, models
+from fusionscreen.autodiff import ValueGraph, gradient_check
 from fusionscreen.checkpoint import save_checkpoint
 from fusionscreen.models import (
     FusionConfig,
@@ -183,6 +183,90 @@ class TestForward:
         gb = batch_graphs([toy_items[0].graph])
         with pytest.raises(models.GraphError):
             m.build_tape(vox, gb)
+
+
+def relative_error(a, ref):
+    a, ref = np.asarray(a), np.asarray(ref)
+    return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
+
+
+# (voxel config, graph config, generator, poses) at paper size and at the
+# criterion-3 size
+SPARSE_SIZES = {
+    "paper": (VoxelHeadConfig(), GraphHeadConfig(), complexes.GenParams(), 4),
+    "criterion-3": (
+        VoxelHeadConfig(grid_extent=8, in_channels=2, conv_filters_1=4,
+                        conv_filters_2=8, dense_nodes=32, kernel_1=3,
+                        dropout_early=0.0, dropout_mid=0.0),
+        GraphHeadConfig(c_elem=1, k_cov=2, k_noncov=2, gather_width_cov=16,
+                        gather_width_noncov=16),
+        complexes.GenParams(box_size=16.0, c_elem=1, n_protein=(20, 40),
+                            n_ligand=(5, 12), noise_sigma=0.05),
+        56),
+}
+
+
+class TestSparseInputPrediction:
+    """``predict_batch`` runs the first convolution over occupied voxels;
+    the dense eval tape that validation uses is its reference."""
+
+    @pytest.mark.parametrize("size", sorted(SPARSE_SIZES))
+    @pytest.mark.parametrize("mode", ["coherent", "late"])
+    def test_predict_batch_agrees_with_dense_path(self, size, mode):
+        vcfg, gcfg, gen, n = SPARSE_SIZES[size]
+        items = featurize(complexes.generate_dataset(n, 3, gen), vcfg, gcfg)
+        model = FusionModel(vcfg, gcfg, FusionConfig(mode=mode), seed=1)
+        grids, graphs = [it.grid for it in items], [it.graph for it in items]
+        preds, errors = model.predict_batch(list(zip(grids, graphs)))
+        assert not errors
+        if mode == "late":
+            dense = late_fusion_predict(
+                voxel_head_forward(model.voxel_params, vcfg, grids)[0],
+                graph_head_forward(model.graph_params, gcfg, graphs)[0])
+        else:
+            dense = model._eval_tape_predict(grids, graphs)
+        assert relative_error(preds, dense) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["coherent", "late"])
+    def test_only_prediction_takes_the_scatter_path(
+            self, mode, toy_voxel_cfg, toy_graph_cfg, toy_items, monkeypatch):
+        calls = []
+        scatter = autodiff._scatter_correlate
+
+        def counting(x, w):
+            calls.append(x.shape)
+            return scatter(x, w)
+
+        monkeypatch.setattr(autodiff, "_scatter_correlate", counting)
+        model = FusionModel(toy_voxel_cfg, toy_graph_cfg,
+                            FusionConfig(mode=mode, n_fusion_layers=3,
+                                         fusion_dense_nodes=4, epochs=1,
+                                         batch_size=4), seed=0)
+        model.predict_batch([(it.grid, it.graph) for it in toy_items[:3]])
+        assert calls == [(3, 2, 8, 8, 8)]
+        calls.clear()
+        if mode == "late":
+            train_head("voxel", model.voxel_params, toy_voxel_cfg,
+                       toy_items[:8], toy_items[8:], epochs=1, batch_size=4,
+                       optimizer_cfg=OptimizerConfig("adam", 1e-3))
+        else:
+            train(model, toy_items[:8], toy_items[8:])
+        assert calls == []
+
+    def test_flagged_tape_passes_gradient_check(self, toy_voxel_cfg,
+                                                toy_graph_cfg, toy_items):
+        fcfg = FusionConfig(mode="coherent", n_fusion_layers=3,
+                            fusion_dense_nodes=4, activation="relu")
+        model = FusionModel(toy_voxel_cfg, toy_graph_cfg, fcfg, seed=0)
+        items = toy_items[:2]
+        g, _, loss, _ = model.build_tape(
+            np.stack([it.grid.occupancy for it in items]),
+            batch_graphs([it.graph for it in items]),
+            labels=[it.label for it in items], sparse_input=True)
+        convs = [n for n in g.nodes if n.op == "conv3d"]
+        assert [n.attrs.get("sparse_input", False) for n in convs] == \
+            [True, False, False, False]
+        assert gradient_check(g, loss, 1e-5) < 1e-4
 
 
 class TestPersistence:
