@@ -1,6 +1,8 @@
 """Fault-injected screening campaign with exactly-once verification, shard
 inspection, throughput identities, and a miniature scaling experiment."""
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from fusionscreen.harness import FaultPlan, PoseRecord, SyntheticScorer
 library = [PoseRecord(f"c{i // 10:05d}", "t0", i % 10) for i in range(2000)]
 plan = FaultPlan(record_corruption_rate=0.002, rank_failure_rate=0.2, seed=3)
 out = Path(tempfile.mkdtemp(prefix="fusionscreen_demo_"))
+atexit.register(shutil.rmtree, out, ignore_errors=True)
 
 print(f"campaign: {len(library)} poses, 8 jobs, 20% rank failures, "
       f"0.2% corrupt records, retries 3")

@@ -1,13 +1,16 @@
 """Drives the full CLI pipeline in a scratch directory: gen -> train ->
 screen -> eval -> report, checking manifests and exit codes along the way."""
 
+import atexit
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
 from fusionscreen import cli
 
 root = Path(tempfile.mkdtemp(prefix="fusionscreen_cli_"))
+atexit.register(shutil.rmtree, root, ignore_errors=True)
 print(f"working in {root}\n")
 
 

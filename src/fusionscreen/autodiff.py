@@ -28,27 +28,54 @@ the input gradient (the flipped, channel-swapped kernel applied to tiles of
 the output gradient) and the weight gradient (summed tile by tile) share
 the tiling.  A tile holds at most :data:`_TILE_BYTES`, or one depth slice
 of one sample if that is larger, where a whole-batch column matrix reaches
-hundreds of MB at paper size.  The size was chosen by measurement with
-minor page faults in view: glibc raises its mmap threshold to the size of
-the largest mapped block freed, and trims the heap top beyond twice that,
-so tile buffers of 16 MB and less left the other temporaries of a 56-pose
-criterion-3 prediction to be mapped and faulted afresh on some or all runs
-(over 200x the faults, about 30% slower).  24 MB stays below glibc's 32 MB
-cap on that threshold, so the buffer itself is reused from the heap.
+hundreds of MB at paper size.
 
-A conv3d node whose ``sparse_input`` attr is set computes its forward from
-the input's nonzero cells instead (``_scatter_correlate``): a paper-size
-voxel grid fills about 57 of its 32,768 cells, and the dense im2col would
-multiply the rest by zero.  Its im2col is a CSR matrix built from
-``np.nonzero(x)``, multiplied by the reshaped kernel in one scipy product per
-tile; a tile is a run of whole samples, or depth slabs of one sample, whose
-sparse entries and dense product rows fit :data:`_TILE_BYTES`.  It sums in
-another order than the GEMM, so values agree with the dense path to about
-1e-16 relative, not bitwise, but each sample's output is still independent
-of the rest of the batch.  Backward stays dense: the dense input is on the
-tape.  ``models`` sets the attr on the first convolution of
-``predict_batch`` only; training and validation keep the dense path, since
-the golden training histories pin their losses bitwise.
+Each dense or stacked conv3d call allocates one tile buffer and frees it
+on return.  The dense path's holds up to :data:`_TILE_BYTES` (21-25 MB at
+the paper and criterion-3 sizes); the stacked path's, below, never less,
+whatever its tiles need.  The size was chosen by
+measurement with minor page faults in view: glibc raises its mmap threshold
+to the size of the largest mapped block freed, and trims the heap top
+beyond twice that.  A buffer of about 24 MB freed on every call keeps the
+threshold above the buffer and every other temporary of a prediction or a
+training step, so all of them are reused from the heap: a 56-pose
+criterion-3 ``predict_batch`` takes 0-8 minor faults per call after
+warm-up, and a paper-size 8-pose one about 3,000.  Smaller buffers let the
+temporaries be mapped and faulted afresh on every call: with 16 MB tiles,
+over 200x the faults and about 30% slower; a stacked buffer sized to each
+call's need, about 3,900 faults per criterion-3 call and 5,100 per
+paper-size one; one buffer kept per thread and never freed, about 7,500
+and 9,500, at about 1.5x the criterion-3 call time.  24 MB stays below glibc's
+32 MB cap on the threshold.
+
+Two conv3d forward paths serve prediction tapes only (``models`` sets their
+attrs for ``predict_batch``); training and validation keep the dense path,
+since the golden training histories pin their losses bitwise.  Both sum in
+another order than the dense GEMM, so values agree with it to about 1e-15
+relative, not bitwise, but each sample's output is still independent of
+the rest of the batch.  Backward stays dense on both: the dense input is on
+the tape.
+
+- ``sparse_input`` computes the forward from the input's nonzero cells
+  (``_scatter_correlate``): a paper-size voxel grid fills about 57 of its
+  32,768 cells, and the dense im2col would multiply the rest by zero.  Its
+  im2col is a CSR matrix built from ``np.nonzero(x)``, multiplied by the
+  reshaped kernel in one scipy product per tile; a tile is a run of whole
+  samples, or depth slabs of one sample, whose sparse entries and dense
+  product rows fit :data:`_TILE_BYTES`.
+- ``stacked`` (``_stacked_correlate``) builds the im2col over (channel,
+  kernel row, kernel column) only, k^2 copies of the input where the dense
+  path makes k^3, and multiplies it by the kernel stacked over its depth
+  taps, ``[k*O, C*k^2]``, one GEMM per sample; each output plane then sums
+  its k taps' rows from the neighbouring input planes.  A tile is a run of
+  whole samples, or slabs of output planes of one sample, whose column and
+  product blocks fit :data:`_TILE_BYTES`, and all tiles share one buffer.
+
+max-pool3d takes the running maximum over the strided views of its window
+cells, and its backward finds each window's first maximum again from the
+stored output, so neither copies its input into window-last order.  Ties go
+to the first cell in window order, as argmax picks it: values and gradients
+are bitwise those of an argmax pool.
 """
 
 from __future__ import annotations
@@ -400,6 +427,86 @@ def _fill(cost, i):
     return i + max(1, int(np.searchsorted(total, _TILE_BYTES, side="right")))
 
 
+def _stacked_correlate(x, w):
+    """``_correlate`` through the kernel stacked over its depth taps.
+
+    Each tile's im2col covers only the (channel, kernel row, kernel column)
+    offsets, ``[C*k^2, positions]`` over the input planes its outputs
+    reach: k^2 copies of the input, not k^3.  One GEMM per sample against
+    the kernel stacked over its depth taps, ``[k*O, C*k^2]``, gives the
+    product of every depth tap; output plane z then sums tap i's rows at
+    input plane z + i - k//2, the centre tap first.  A sample's GEMM and
+    sums do not depend on the rest of the batch, so neither do its values.
+    """
+    b, c, d, h, wd = x.shape
+    o, k = w.shape[0], w.shape[2]
+    p = k // 2
+    rows = c * k * k
+    kernel = w.transpose(2, 0, 1, 3, 4).reshape(k * o, rows)
+    out = np.empty((b, o, d, h, wd))
+    buf = np.empty(0)
+    for b0, b1, z0, z1 in _stacked_tiles(x.shape, rows + k * o, p):
+        a, e = max(0, z0 - p), min(d, z1 + p)
+        n, m = b1 - b0, (e - a) * h * wd
+        if buf.size < (rows + k * o) * n * m:
+            # at least a full tile's bytes; see the module docstring
+            buf = np.empty(max((rows + k * o) * n * m, _TILE_BYTES // 8))
+        cols = buf[: rows * n * m].reshape(c, k, k, n, e - a, h, wd)
+        _fill_planes(cols, x[b0:b1, :, a:e].transpose(1, 0, 2, 3, 4), p)
+        prod = buf[rows * n * m:(rows + k * o) * n * m].reshape(n, k * o, m)
+        np.matmul(kernel, cols.reshape(rows, n, m).transpose(1, 0, 2), out=prod)
+        prod = prod.reshape(n, k, o, e - a, h, wd)
+        dst = out[b0:b1, :, z0:z1]
+        np.copyto(dst, prod[:, p, :, z0 - a:z1 - a])
+        for i in range(k):
+            # output plane z reads input plane z + i - p
+            lo, hi = max(z0, a + p - i), min(z1, e + p - i)
+            if i != p and lo < hi:
+                dst[:, :, lo - z0:hi - z0] += prod[:, i, :, lo + i - p - a:
+                                                   hi + i - p - a]
+    return out
+
+
+def _fill_planes(cols, src, p):
+    """Writes ``cols`` [C, k, k, ...planes, H, W] with ``src`` [C, ...planes,
+    H, W] shifted by each (kernel row, kernel column) offset, zero where the
+    offset reaches outside the plane."""
+    k = cols.shape[1]
+    h, w = src.shape[-2:]
+    for j in range(k):
+        y0 = min(h, max(0, p - j))
+        y1 = max(y0, min(h, h + p - j))
+        for l in range(k):
+            x0 = min(w, max(0, p - l))
+            x1 = max(x0, min(w, w + p - l))
+            dst = cols[:, j, l]
+            dst[..., :y0, :] = 0.0
+            dst[..., y1:, :] = 0.0
+            dst[..., y0:y1, :x0] = 0.0
+            dst[..., y0:y1, x1:] = 0.0
+            dst[..., y0:y1, x0:x1] = src[..., y0 + j - p:y1 + j - p,
+                                         x0 + l - p:x1 + l - p]
+
+
+def _stacked_tiles(shape, rows, p):
+    """Tiles ``(b0, b1, z0, z1)`` of ``_stacked_correlate`` over an input of
+    ``shape`` whose column and product blocks hold ``rows`` doubles per
+    input position: runs of whole samples within :data:`_TILE_BYTES`, or
+    slabs of output planes of one sample (at least one plane each), whose
+    input planes reach ``p`` further on either side."""
+    b, _, d, h, w = shape
+    plane = rows * h * w * 8
+    if d * plane <= _TILE_BYTES:
+        nb = _TILE_BYTES // (d * plane)
+        for b0 in range(0, b, nb):
+            yield b0, min(b0 + nb, b), 0, d
+        return
+    nd = max(1, _TILE_BYTES // plane - 2 * p)
+    for b0 in range(b):
+        for z0 in range(0, d, nd):
+            yield b0, b0 + 1, z0, min(z0 + nd, d)
+
+
 @_op("conv3d")
 def _conv3d():
     # Cubic kernel, stride 1, zero padding k//2: spatial extent is preserved.
@@ -418,8 +525,12 @@ def _conv3d():
             f"input channels {x.shape} vs kernel {w.shape}",
         )
         _check(b.shape == (w.shape[0],), "conv3d", f"bias {b.shape} vs kernel {w.shape}")
-        correlate = (_scatter_correlate if node.attrs.get("sparse_input")
-                     else _correlate)
+        if node.attrs.get("sparse_input"):
+            correlate = _scatter_correlate
+        elif node.attrs.get("stacked"):
+            correlate = _stacked_correlate
+        else:
+            correlate = _correlate
         out = correlate(x, w)
         out += b[None, :, None, None, None]
         return out
@@ -445,6 +556,8 @@ def _conv3d():
 
 @_op("max-pool3d")
 def _maxpool3d():
+    # Ties go to the first cell in window order (depth, row, column), as
+    # argmax would pick it; backward finds that cell again from the output.
     def fwd(node, vals, graph):
         (x,) = vals
         s = int(node.attrs.get("size", 2))
@@ -454,29 +567,72 @@ def _maxpool3d():
             "max-pool3d",
             f"extent {x.shape[2:]} not divisible by pool size {s}",
         )
-        b, c, d, h, w = x.shape
-        r = x.reshape(b, c, d // s, s, h // s, s, w // s, s)
-        r = r.transpose(0, 1, 2, 4, 6, 3, 5, 7).reshape(
-            b, c, d // s, h // s, w // s, s ** 3
-        )
-        idx = r.argmax(axis=-1)
-        node.ctx["idx"] = idx
-        return np.take_along_axis(r, idx[..., None], axis=-1)[..., 0]
+        cells = _window_cells(x, s)
+        out = cells[0][1].copy()
+        for _, cell in cells[1:]:
+            # np.maximum returns its second operand, the earlier cell, when
+            # the two are equal; only a zero's sign tells them apart
+            np.maximum(cell, out, out=out)
+        return out
 
     def bwd(node, vals, g):
         (x,) = vals
         s = int(node.attrs.get("size", 2))
-        b, c, d, h, w = x.shape
-        flat = np.zeros((b, c, d // s, h // s, w // s, s ** 3))
-        np.put_along_axis(flat, node.ctx["idx"][..., None], g[..., None], axis=-1)
-        gx = (
-            flat.reshape(b, c, d // s, h // s, w // s, s, s, s)
-            .transpose(0, 1, 2, 5, 3, 6, 4, 7)
-            .reshape(b, c, d, h, w)
-        )
+        gx = np.zeros(x.shape)
+        gx.ravel()[_first_max(x, node.value, s)] = g
         return [gx]
 
     return fwd, bwd
+
+
+def _window_cells(x, s):
+    """``(offset, view)`` per cell of the size-``s`` pooling windows of
+    ``x`` [B,C,D,H,W], in window order: ``view`` [B,C,D/s,H/s,W/s] holds
+    that cell of every window, ``offset`` its flat distance in ``x`` from
+    the window's first cell."""
+    b, c, d, h, w = x.shape
+    r = x.reshape(b, c, d // s, s, h // s, s, w // s, s)
+    return [((i * h + j) * w + l, r[:, :, :, i, :, j, :, l])
+            for i in range(s) for j in range(s) for l in range(s)]
+
+
+# index of the lowest set bit of each byte (0 for 0)
+_LOWEST_BIT = np.array([max(0, (v & -v).bit_length() - 1) for v in range(256)],
+                       dtype=np.intp)
+
+
+def _first_max(x, out, s):
+    """Flat index into ``x`` of the first cell of each pooling window that
+    equals its maximum ``out``.
+
+    Cells are matched eight at a time into one bit each of a byte, whose
+    lowest set bit names the group's first match; groups run last to first,
+    so an earlier group's match overwrites a later one's.
+    """
+    b, c, d, h, w = x.shape
+    cells = _window_cells(x, s)
+    eq = np.empty(out.shape, bool)
+    bits = np.empty(out.shape, np.uint8)
+    code = np.empty(out.shape, np.uint8)
+    first = None
+    for g0 in reversed(range(0, len(cells), 8)):
+        group = cells[g0:g0 + 8]
+        code.fill(0)
+        for n, (_, cell) in enumerate(group):
+            np.equal(cell, out, out=eq)
+            np.left_shift(eq.view(np.uint8), n, out=bits)
+            code |= bits
+        offsets = np.zeros(8, np.intp)
+        offsets[:len(group)] = [offset for offset, _ in group]
+        at = offsets[_LOWEST_BIT][code]
+        if first is None:
+            first = at
+        else:
+            np.copyto(first, at, where=code != 0)
+    first += (np.arange(b * c).reshape(b, c, 1, 1, 1) * (d * h * w)
+              + np.arange(0, d, s).reshape(-1, 1, 1) * (h * w)
+              + np.arange(0, h, s).reshape(-1, 1) * w + np.arange(0, w, s))
+    return first
 
 
 def _unary(f, df):

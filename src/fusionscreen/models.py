@@ -291,13 +291,15 @@ def _act(g: ValueGraph, kind: str, nid: int) -> int:
 
 def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int, prefix: str,
                 dropout_on: bool, bn_state: dict, frozen: bool = False,
-                sparse_input: bool = False) -> tuple[int, int]:
+                inference: bool = False) -> tuple[int, int]:
     """Returns (prediction node [B,1], latent node [B, latent_width]).
 
     A ``frozen`` head's batch-norm runs on, and keeps, the running
-    statistics in ``bn_state`` even in a training tape.  ``sparse_input``
-    runs the first convolution over the grid's occupied cells only: the
-    same values up to the last bits, since it sums in another order.
+    statistics in ``bn_state`` even in a training tape.  ``inference``
+    selects the forward-only convolutions: the first sums over the grid's
+    occupied cells only, the others stack their kernels' depth taps into
+    one GEMM per sample.  Values are the same up to the last bits, since
+    both sum in another order.
     """
     g = tape.graph
     p = lambda n: tape.p(f"{prefix}/{n}")
@@ -312,18 +314,21 @@ def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int, prefix: str,
         return _bn_apply(g, nid, p(f"bn{idx}_gamma"), p(f"bn{idx}_beta"),
                          bn_state, f"bn{idx}", bn_training)
 
-    h1 = _act(g, "relu", g.apply("conv3d", [x_nid, p("conv1_w"), p("conv1_b")],
-                                 {"sparse_input": sparse_input}))
+    def conv(nid, idx, attrs):
+        return _act(g, "relu", g.apply(
+            "conv3d", [nid, p(f"conv{idx}_w"), p(f"conv{idx}_b")], attrs))
+
+    h1 = conv(x_nid, 1, {"sparse_input": inference})
     if use_bn:
         h1 = bn(h1, 1)
-    h2 = _act(g, "relu", g.apply("conv3d", [h1, p("conv2_w"), p("conv2_b")]))
+    h2 = conv(h1, 2, {"stacked": inference})
     if cfg.residual_1:
         h2 = g.apply("elementwise-add", [h2, h1])
     h2 = g.apply("max-pool3d", [h2], {"size": 2})
-    h3 = _act(g, "relu", g.apply("conv3d", [h2, p("conv3_w"), p("conv3_b")]))
+    h3 = conv(h2, 3, {"stacked": inference})
     if use_bn:
         h3 = bn(h3, 2)
-    h4 = _act(g, "relu", g.apply("conv3d", [h3, p("conv4_w"), p("conv4_b")]))
+    h4 = conv(h3, 4, {"stacked": inference})
     if cfg.residual_2:
         h4 = g.apply("elementwise-add", [h4, h3])
     h4 = g.apply("max-pool3d", [h4], {"size": 2})
@@ -460,8 +465,8 @@ class FusionModel:
     def build_tape(self, vox_batch: np.ndarray, graph_batch: GraphBatch,
                    training: bool = False, labels: np.ndarray | None = None,
                    seed: int = 0, freeze_heads: bool = False,
-                   sparse_input: bool = False):
-        """Builds the full forward tape; ``sparse_input`` as in ``_voxel_tape``.
+                   inference: bool = False):
+        """Builds the full forward tape; ``inference`` as in ``_voxel_tape``.
 
         Returns (graph, pred_node, loss_node_or_None, name->nid map).
         """
@@ -475,7 +480,7 @@ class FusionModel:
         tape.bind(self.fusion_params, "fusion", True)
         x = g.input(vox_batch, "voxels")
         _, lat_v = _voxel_tape(tape, self.voxel_cfg, x, "voxel", training,
-                               self.bn_state, freeze_heads, sparse_input)
+                               self.bn_state, freeze_heads, inference)
         _, lat_g = _graph_tape(tape, self.graph_cfg, graph_batch, "graph")
         pred = _fusion_tape(tape, self.fusion_cfg, lat_g, lat_v, "fusion",
                             training)
@@ -487,9 +492,11 @@ class FusionModel:
 
         Returns (predictions, errors): predictions is a list aligned with the
         input (None for failed items); errors is a list of (index, reason).
-        Malformed items never abort the batch.  The first convolution sums
-        over occupied voxels only, so a score can differ in the last bits
-        from the dense path that training and validation take.
+        Malformed items never abort the batch.  The tape is built with
+        ``inference`` (see ``_voxel_tape``): the first convolution sums over
+        occupied voxels only and the others run one GEMM per sample over
+        their kernels' stacked depth taps, so a score can differ in the last
+        bits from the dense path that training and validation take.
         """
         preds: list[float | None] = [None] * len(items)
         errors: list[tuple[int, str]] = []
@@ -508,21 +515,21 @@ class FusionModel:
             scores = late_fusion_predict(
                 voxel_head_forward(self.voxel_params, self.voxel_cfg, grids,
                                    bn_state=self.bn_state,
-                                   sparse_input=True)[0],
+                                   inference=True)[0],
                 graph_head_forward(self.graph_params, self.graph_cfg,
                                    graphs)[0])
         else:
             scores = self._eval_tape_predict(grids, graphs, batch_seed,
-                                             sparse_input=True)
+                                             inference=True)
         for i, s in zip(valid, scores):
             preds[i] = float(s)
         return preds, errors
 
     def _eval_tape_predict(self, grids, graphs, seed: int = 0,
-                           sparse_input: bool = False) -> np.ndarray:
+                           inference: bool = False) -> np.ndarray:
         vox = np.stack([v.occupancy for v in grids])
         g, pred, _, _ = self.build_tape(vox, batch_graphs(graphs), seed=seed,
-                                        sparse_input=sparse_input)
+                                        inference=inference)
         return g.value(pred)[:, 0]
 
     def _validate_item(self, item) -> str | None:
@@ -634,9 +641,9 @@ def load_head(path, expected_cfg) -> tuple[dict, dict]:
 
 def _head_tape(kind: str, params: dict, cfg, x, training: bool = False,
                seed: int = 0, bn_state: dict | None = None, labels=None,
-               sparse_input: bool = False):
+               inference: bool = False):
     """One head's tape over ``x``, a voxel batch or a GraphBatch;
-    ``sparse_input`` as in ``_voxel_tape``.
+    ``inference`` as in ``_voxel_tape``.
 
     Returns (graph, pred_node, latent_node, loss_node_or_None, name->nid map).
     """
@@ -646,7 +653,7 @@ def _head_tape(kind: str, params: dict, cfg, x, training: bool = False,
     if kind == "voxel":
         pred, lat = _voxel_tape(tape, cfg, g.input(x, "voxels"), "voxel",
                                 training, {} if bn_state is None else bn_state,
-                                sparse_input=sparse_input)
+                                inference=inference)
     else:
         pred, lat = _graph_tape(tape, cfg, x, "graph")
     return g, pred, lat, _mse_loss(g, pred, labels), tape.pnodes
@@ -662,12 +669,12 @@ def _mse_loss(g: ValueGraph, pred: int, labels) -> int | None:
 def voxel_head_forward(params: dict, cfg: VoxelHeadConfig, grids,
                        training: bool = False, seed: int = 0,
                        bn_state: dict | None = None,
-                       sparse_input: bool = False):
+                       inference: bool = False):
     """Returns (predictions [B], latents [B, latent_width]);
-    ``sparse_input`` as in ``_voxel_tape``."""
+    ``inference`` as in ``_voxel_tape``."""
     g, pred, lat, _, _ = _head_tape("voxel", params, cfg,
                                     _stack_grids(grids, cfg), training, seed,
-                                    bn_state, sparse_input=sparse_input)
+                                    bn_state, inference=inference)
     return g.value(pred)[:, 0], g.value(lat)
 
 
@@ -721,9 +728,9 @@ def featurize(complexes: list[SyntheticComplex], voxel_cfg: VoxelHeadConfig,
 def _eval_mse(predict, items: list[FeaturizedItem], chunk: int = 256) -> float:
     """Chunked MSE of ``predict(part)``; a FusionModel predicts by eval tape.
 
-    Validation keeps the dense first convolution: the golden training
-    histories pin ``val_mse`` bitwise, and the sparse-input path of
-    ``predict_batch`` sums in another order.
+    Validation keeps the dense convolutions: the golden training histories
+    pin ``val_mse`` bitwise, and the ``inference`` convolutions of
+    ``predict_batch`` sum in another order.
     """
     if isinstance(predict, FusionModel):
         model = predict

@@ -520,6 +520,163 @@ class TestScatterConv:
                 batched[i].tobytes()
 
 
+def stacked_conv(x, w, b):
+    g = ValueGraph()
+    return g.value(g.apply("conv3d", [g.input(x), g.parameter(w),
+                                      g.parameter(b)], {"stacked": True}))
+
+
+# (x shape, output channels): the dense convolutions of the paper-size and
+# the criterion-3 voxel heads
+STACKED_SHAPES = [
+    ((2, 32, 16, 16, 16), 32), ((2, 32, 8, 8, 8), 64), ((2, 64, 8, 8, 8), 64),
+    ((6, 2, 8, 8, 8), 4), ((6, 4, 8, 8, 8), 4), ((6, 4, 4, 4, 4), 8),
+    ((6, 8, 4, 4, 4), 8),
+]
+
+
+class TestStackedConv:
+    """The ``stacked`` forward of conv3d against the dense one."""
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("xs,o", STACKED_SHAPES)
+    def test_matches_dense_correlation(self, xs, o, k, rng):
+        x = np.maximum(rng.normal(size=xs), 0.0)
+        w, b = rng.normal(size=(o, xs[1], k, k, k)), rng.normal(size=o)
+        ref = autodiff._correlate(x, w) + b[None, :, None, None, None]
+        assert relative_error(stacked_conv(x, w, b), ref) < 1e-12
+
+    @pytest.mark.parametrize("xs,ws", [((3, 4, 6, 5, 4), (3, 4, 3, 3, 3)),
+                                       ((2, 2, 3, 2, 5), (4, 2, 5, 5, 5))])
+    def test_zero_input_gives_the_bias(self, xs, ws, rng):
+        w, b = rng.normal(size=ws), rng.normal(size=ws[0])
+        out = stacked_conv(np.zeros(xs), w, b)
+        assert out.tobytes() == np.broadcast_to(
+            b[None, :, None, None, None], out.shape).tobytes()
+
+    @pytest.mark.parametrize("tile", [None, 3 * 120 * 60 * 8, 20_000])
+    @pytest.mark.parametrize("xs,ws", [((5, 2, 6, 5, 4), (3, 2, 3, 3, 3)),
+                                       ((4, 3, 5, 3, 4), (4, 3, 5, 5, 5))])
+    def test_sample_output_independent_of_batch(self, xs, ws, tile, rng,
+                                                monkeypatch):
+        # odd boxes: a sample's columns do not fill whole BLAS panels
+        if tile is not None:
+            monkeypatch.setattr(autodiff, "_TILE_BYTES", tile)
+        x, w, b = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=ws[0])
+        batched = stacked_conv(x, w, b)
+        ref = autodiff._correlate(x, w) + b[None, :, None, None, None]
+        assert relative_error(batched, ref) < 1e-12
+        for i in range(len(x)):
+            assert stacked_conv(x[i:i + 1], w, b)[0].tobytes() == \
+                batched[i].tobytes()
+
+    # 2 x 6 x 5 x 4 inputs with 3 outputs, k=3: 2*9 column rows and 3*3
+    # product rows, so 27 doubles per input position and 20 per plane
+    @pytest.mark.parametrize("tile,tiles", [
+        (3 * 6 * 20 * 27 * 8, [(0, 3, 0, 6), (3, 4, 0, 6)]),
+        # slabs of two output planes read up to four input planes
+        (4 * 20 * 27 * 8, [(i, i + 1, z, z + 2) for i in range(4)
+                           for z in (0, 2, 4)]),
+    ])
+    def test_tiles_fit_the_budget(self, tile, tiles, rng, monkeypatch):
+        monkeypatch.setattr(autodiff, "_TILE_BYTES", tile)
+        xs = (4, 2, 6, 5, 4)
+        assert list(autodiff._stacked_tiles(xs, 27, 1)) == tiles
+        for b0, b1, z0, z1 in tiles:
+            planes = min(6, z1 + 1) - max(0, z0 - 1)
+            assert (b1 - b0) * planes * 20 * 27 * 8 <= tile
+        x, w, b = (rng.normal(size=xs), rng.normal(size=(3, 2, 3, 3, 3)),
+                   rng.normal(size=3))
+        ref = autodiff._correlate(x, w) + b[None, :, None, None, None]
+        assert relative_error(stacked_conv(x, w, b), ref) < 1e-12
+
+    def test_backward_is_the_dense_one(self, rng):
+        x, w, b = (rng.normal(size=(3, 2, 4, 4, 4)),
+                   rng.normal(size=(3, 2, 3, 3, 3)), rng.normal(size=3))
+        gout = rng.normal(size=(3, 3, 4, 4, 4))
+        grads = []
+        for attrs in ({}, {"stacked": True}):
+            g = ValueGraph()
+            out = g.apply("conv3d", [g.parameter(x), g.parameter(w),
+                                     g.parameter(b)], attrs)
+            grads.append([v.tobytes() for v in autodiff._OPS["conv3d"][1](
+                g.nodes[out], [x, w, b], gout)])
+        assert grads[0] == grads[1]
+
+    def test_gradient_check_conv_pool_tape(self, rng):
+        g = ValueGraph()
+        x = g.input(rng.normal(size=(2, 2, 4, 4, 4)))
+        h = g.apply("conv3d", [x, g.parameter(rng.normal(size=(3, 2, 3, 3, 3)) * 0.3),
+                               g.parameter(rng.normal(size=3) * 0.1)],
+                    {"stacked": True})
+        h = g.apply("tanh", [h])
+        h = g.apply("max-pool3d", [h], {"size": 2})
+        h = g.apply("conv3d", [h, g.parameter(rng.normal(size=(2, 3, 3, 3, 3)) * 0.3),
+                               g.parameter(rng.normal(size=2) * 0.1)],
+                    {"stacked": True})
+        h = g.apply("flatten", [h])
+        out = g.apply("dense", [h, g.parameter(rng.normal(size=(16, 1)) * 0.3),
+                                g.parameter(rng.normal(size=1))])
+        loss = g.apply("mse-loss", [out, g.input(rng.normal(size=(2, 1)))])
+        assert gradient_check(g, loss, 1e-5) < 1e-4
+
+
+def argmax_maxpool(x, s, g):
+    """The argmax max-pool: output and input gradient for output gradient
+    ``g``."""
+    b, c, d, h, w = x.shape
+    r = x.reshape(b, c, d // s, s, h // s, s, w // s, s)
+    r = r.transpose(0, 1, 2, 4, 6, 3, 5, 7).reshape(
+        b, c, d // s, h // s, w // s, s ** 3)
+    idx = r.argmax(axis=-1)
+    out = np.take_along_axis(r, idx[..., None], axis=-1)[..., 0]
+    flat = np.zeros((b, c, d // s, h // s, w // s, s ** 3))
+    np.put_along_axis(flat, idx[..., None], g[..., None], axis=-1)
+    gx = (flat.reshape(b, c, d // s, h // s, w // s, s, s, s)
+          .transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(b, c, d, h, w))
+    return out, gx
+
+
+class TestMaxPool:
+    """The running-maximum max-pool against the argmax one, bitwise."""
+
+    @pytest.mark.parametrize("s,xs", [(2, (3, 4, 8, 6, 4)), (3, (2, 3, 6, 3, 9)),
+                                      (4, (2, 2, 4, 8, 4))])
+    @pytest.mark.parametrize("kind", ["relu", "equal", "signed-zeros",
+                                      "normal"])
+    def test_bitwise_equals_argmax_pool(self, kind, s, xs, rng):
+        if kind == "relu":
+            # most windows tie at zero
+            x = np.maximum(rng.normal(-0.8, 1.0, size=xs), 0.0)
+        elif kind == "equal":
+            x = np.full(xs, 0.5)
+            x[:, :, :s] = rng.integers(-2, 2, size=x[:, :, :s].shape)
+        elif kind == "signed-zeros":
+            x = rng.choice([0.0, -0.0, -1.0], size=xs)
+        else:
+            x = rng.normal(size=xs)
+        g = ValueGraph()
+        out = g.apply("max-pool3d", [g.parameter(x)], {"size": s})
+        gout = rng.normal(size=g.value(out).shape)
+        ref_out, ref_gx = argmax_maxpool(x, s, gout)
+        assert g.value(out).tobytes() == ref_out.tobytes()
+        (gx,) = autodiff._OPS["max-pool3d"][1](g.nodes[out], [x], gout)
+        assert gx.tobytes() == ref_gx.tobytes()
+
+    def test_gradient_check_relu_conv_pool_tape(self, rng):
+        g = ValueGraph()
+        x = g.input(rng.normal(size=(2, 1, 4, 4, 4)))
+        h = g.apply("conv3d", [x, g.parameter(rng.normal(size=(3, 1, 3, 3, 3)) * 0.3),
+                               g.parameter(rng.normal(size=3) * 0.1)])
+        h = g.apply("relu", [h])
+        h = g.apply("max-pool3d", [h], {"size": 2})
+        h = g.apply("flatten", [h])
+        out = g.apply("dense", [h, g.parameter(rng.normal(size=(24, 1)) * 0.3),
+                                g.parameter(rng.normal(size=1))])
+        loss = g.apply("mse-loss", [out, g.input(rng.normal(size=(2, 1)))])
+        assert gradient_check(g, loss, 1e-5) < 1e-4
+
+
 class TestMemoryLifetime:
     """Intermediate gradients die during backward; rewritten kernels give
     the same bits as the expressions they replaced."""

@@ -207,11 +207,12 @@ SPARSE_SIZES = {
 
 
 class TestSparseInputPrediction:
-    """``predict_batch`` runs the first convolution over occupied voxels;
-    the dense eval tape that validation uses is its reference."""
+    """``predict_batch`` runs the first convolution over occupied voxels and
+    the others through stacked depth taps; the dense eval tape that
+    validation uses is its reference."""
 
     @pytest.mark.parametrize("size", sorted(SPARSE_SIZES))
-    @pytest.mark.parametrize("mode", ["coherent", "late"])
+    @pytest.mark.parametrize("mode", ["coherent", "mid", "late"])
     def test_predict_batch_agrees_with_dense_path(self, size, mode):
         vcfg, gcfg, gen, n = SPARSE_SIZES[size]
         items = featurize(complexes.generate_dataset(n, 3, gen), vcfg, gcfg)
@@ -227,31 +228,40 @@ class TestSparseInputPrediction:
             dense = model._eval_tape_predict(grids, graphs)
         assert relative_error(preds, dense) < 1e-12
 
-    @pytest.mark.parametrize("mode", ["coherent", "late"])
-    def test_only_prediction_takes_the_scatter_path(
-            self, mode, toy_voxel_cfg, toy_graph_cfg, toy_items, monkeypatch):
+    @staticmethod
+    def input_shapes(kernel, mode, vcfg, gcfg, items, monkeypatch):
+        """Input shapes ``autodiff.<kernel>`` sees in ``predict_batch`` and
+        in a one-epoch ``train`` (``train_head`` for late) with its
+        validation."""
         calls = []
-        scatter = autodiff._scatter_correlate
+        original = getattr(autodiff, kernel)
 
         def counting(x, w):
             calls.append(x.shape)
-            return scatter(x, w)
+            return original(x, w)
 
-        monkeypatch.setattr(autodiff, "_scatter_correlate", counting)
-        model = FusionModel(toy_voxel_cfg, toy_graph_cfg,
+        monkeypatch.setattr(autodiff, kernel, counting)
+        model = FusionModel(vcfg, gcfg,
                             FusionConfig(mode=mode, n_fusion_layers=3,
                                          fusion_dense_nodes=4, epochs=1,
                                          batch_size=4), seed=0)
-        model.predict_batch([(it.grid, it.graph) for it in toy_items[:3]])
-        assert calls == [(3, 2, 8, 8, 8)]
+        model.predict_batch([(it.grid, it.graph) for it in items[:3]])
+        predicted = list(calls)
         calls.clear()
         if mode == "late":
-            train_head("voxel", model.voxel_params, toy_voxel_cfg,
-                       toy_items[:8], toy_items[8:], epochs=1, batch_size=4,
+            train_head("voxel", model.voxel_params, vcfg, items[:8],
+                       items[8:], epochs=1, batch_size=4,
                        optimizer_cfg=OptimizerConfig("adam", 1e-3))
         else:
-            train(model, toy_items[:8], toy_items[8:])
-        assert calls == []
+            train(model, items[:8], items[8:])
+        return predicted, calls
+
+    @pytest.mark.parametrize("mode", ["coherent", "late"])
+    def test_only_prediction_takes_the_scatter_path(
+            self, mode, toy_voxel_cfg, toy_graph_cfg, toy_items, monkeypatch):
+        assert self.input_shapes("_scatter_correlate", mode, toy_voxel_cfg,
+                                 toy_graph_cfg, toy_items, monkeypatch) == \
+            ([(3, 2, 8, 8, 8)], [])
 
     def test_flagged_tape_passes_gradient_check(self, toy_voxel_cfg,
                                                 toy_graph_cfg, toy_items):
@@ -262,11 +272,21 @@ class TestSparseInputPrediction:
         g, _, loss, _ = model.build_tape(
             np.stack([it.grid.occupancy for it in items]),
             batch_graphs([it.graph for it in items]),
-            labels=[it.label for it in items], sparse_input=True)
+            labels=[it.label for it in items], inference=True)
         convs = [n for n in g.nodes if n.op == "conv3d"]
         assert [n.attrs.get("sparse_input", False) for n in convs] == \
             [True, False, False, False]
+        assert [n.attrs.get("stacked", False) for n in convs] == \
+            [False, True, True, True]
         assert gradient_check(g, loss, 1e-5) < 1e-4
+
+    @pytest.mark.parametrize("mode", ["coherent", "late"])
+    def test_only_prediction_takes_the_stacked_path(
+            self, mode, toy_voxel_cfg, toy_graph_cfg, toy_items, monkeypatch):
+        f1, f2 = toy_voxel_cfg.conv_filters_1, toy_voxel_cfg.conv_filters_2
+        assert self.input_shapes("_stacked_correlate", mode, toy_voxel_cfg,
+                                 toy_graph_cfg, toy_items, monkeypatch) == \
+            ([(3, f1, 8, 8, 8), (3, f1, 4, 4, 4), (3, f2, 4, 4, 4)], [])
 
 
 class TestPersistence:
@@ -359,7 +379,7 @@ class TestHeadCheckpoints:
         assert not errors
         expected = late_fusion_predict(
             voxel_head_forward(vparams, vcfg, [it.grid for it in toy_items],
-                               bn_state=bn_state)[0],
+                               bn_state=bn_state, inference=True)[0],
             graph_head_forward(gparams, toy_graph_cfg,
                                [it.graph for it in toy_items])[0])
         assert [p.hex() for p in preds] == [float(e).hex() for e in expected]
