@@ -30,6 +30,13 @@ the tiling.  A tile holds at most :data:`_TILE_BYTES`, or one depth slice
 of one sample if that is larger, where a whole-batch column matrix reaches
 hundreds of MB at paper size.
 
+One planner, ``_tiles``, plans the tiles of all three conv3d kernels (the
+dense one above and the two forward paths below).  Each kernel passes the
+bytes that each sample's depth plane takes in its tile, and gets runs of
+whole samples within :data:`_TILE_BYTES`, or depth slabs of one sample that
+exceeds it alone, at least one plane each.  A slab can leave room for a
+halo, the planes its kernel reads beyond it.
+
 Each dense or stacked conv3d call allocates one tile buffer and frees it
 on return.  The dense path's holds up to :data:`_TILE_BYTES` (21-25 MB at
 the paper and criterion-3 sizes); the stacked path's, below, never less,
@@ -60,16 +67,17 @@ the tape.
   (``_scatter_correlate``): a paper-size voxel grid fills about 57 of its
   32,768 cells, and the dense im2col would multiply the rest by zero.  Its
   im2col is a CSR matrix built from ``np.nonzero(x)``, multiplied by the
-  reshaped kernel in one scipy product per tile; a tile is a run of whole
-  samples, or depth slabs of one sample, whose sparse entries and dense
-  product rows fit :data:`_TILE_BYTES`.
+  reshaped kernel in one scipy product per tile.  A plane's cost is its
+  sparse entries and dense product rows, so a sample's cost follows its
+  nonzero cells.
 - ``stacked`` (``_stacked_correlate``) builds the im2col over (channel,
   kernel row, kernel column) only, k^2 copies of the input where the dense
   path makes k^3, and multiplies it by the kernel stacked over its depth
   taps, ``[k*O, C*k^2]``, one GEMM per sample; each output plane then sums
-  its k taps' rows from the neighbouring input planes.  A tile is a run of
-  whole samples, or slabs of output planes of one sample, whose column and
-  product blocks fit :data:`_TILE_BYTES`, and all tiles share one buffer.
+  its k taps' rows from the neighbouring input planes.  A plane's cost is
+  its column and product blocks, and a slab of output planes leaves room
+  for the 2*(k//2) input planes it reads beyond it; all tiles share one
+  buffer.
 
 max-pool3d takes the running maximum over the strided views of its window
 cells, and its backward finds each window's first maximum again from the
@@ -303,6 +311,36 @@ def _matmul():
     return fwd, bwd
 
 
+def _tiles(cost, halo=0):
+    """Tiles ``(b0, b1, d0, d1)`` of a conv3d kernel for ``cost`` [B, D],
+    the bytes each sample's depth plane takes in a tile: runs of whole
+    samples within :data:`_TILE_BYTES`, or depth slabs of one sample that
+    exceeds it alone (at least one plane each).  A slab leaves room for
+    ``halo`` more planes of its sample, each at its largest plane cost: the
+    planes its kernel reads beyond it."""
+    per_sample = cost.sum(axis=1)
+    b0 = 0
+    while b0 < len(per_sample):
+        if per_sample[b0] <= _TILE_BYTES:
+            b1 = _fill(per_sample, b0, _TILE_BYTES)
+            yield b0, b1, 0, cost.shape[1]
+        else:
+            b1, d0 = b0 + 1, 0
+            budget = _TILE_BYTES - halo * cost[b0].max()
+            while d0 < cost.shape[1]:
+                d1 = _fill(cost[b0], d0, budget)
+                yield b0, b1, d0, d1
+                d0 = d1
+        b0 = b1
+
+
+def _fill(cost, i, budget):
+    """End of the longest run ``cost[i:j]`` within ``budget``, one element
+    at least."""
+    total = np.cumsum(cost[i:])
+    return i + max(1, int(np.searchsorted(total, budget, side="right")))
+
+
 def _im2col_tiles(x, k):
     """Channel-major im2col tiles of ``x`` [B,C,D,H,W], same-padded for a
     cubic kernel of side ``k``.
@@ -317,23 +355,17 @@ def _im2col_tiles(x, k):
     p = k // 2
     rows = c * k ** 3
     plane = h * w
-    positions = max(plane, _TILE_BYTES // (rows * x.itemsize))
-    if d * plane <= positions:
-        nb, nd = positions // (d * plane), d
-    else:
-        nb, nd = 1, positions // plane
+    tiles = list(_tiles(np.full((b, d), rows * plane * x.itemsize)))
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
     win = sliding_window_view(xp, (k, k, k), axis=(2, 3, 4))  # [B,C,D,H,W,k,k,k]
-    buf = np.empty(rows * min(nb, b) * nd * plane)
-    for b0 in range(0, b, nb):
-        b1 = min(b0 + nb, b)
-        for d0 in range(0, d, nd):
-            d1 = min(d0 + nd, d)
-            cols = buf[: rows * (b1 - b0) * (d1 - d0) * plane].reshape(
-                c, k, k, k, b1 - b0, d1 - d0, h, w)
-            np.copyto(cols, win[b0:b1, :, d0:d1].transpose(1, 5, 6, 7, 0, 2, 3, 4))
-            yield b0, b1, d0 * plane, d1 * plane, cols.reshape(
-                rows, b1 - b0, (d1 - d0) * plane)
+    most = max(((b1 - b0) * (d1 - d0) for b0, b1, d0, d1 in tiles), default=0)
+    buf = np.empty(rows * most * plane)
+    for b0, b1, d0, d1 in tiles:
+        cols = buf[: rows * (b1 - b0) * (d1 - d0) * plane].reshape(
+            c, k, k, k, b1 - b0, d1 - d0, h, w)
+        np.copyto(cols, win[b0:b1, :, d0:d1].transpose(1, 5, 6, 7, 0, 2, 3, 4))
+        yield b0, b1, d0 * plane, d1 * plane, cols.reshape(
+            rows, b1 - b0, (d1 - d0) * plane)
 
 
 def _correlate(x, w):
@@ -378,7 +410,7 @@ def _scatter_correlate(x, w):
     cost = ((window[:, k:] - window[:, :-k]) * (k * k * _SCATTER_ENTRY_BYTES)
             + h * wd * o * x.itemsize)
     out = np.empty((b, o, d, h, wd))
-    for b0, b1, d0, d1 in _scatter_tiles(cost):
+    for b0, b1, d0, d1 in _tiles(cost):
         sel = slice(starts[b0], starts[b1])
         tb, tc, tz, ty, tx, tv = (a[sel] for a in (nb, nc, nzz, ny, nx, vals))
         if d1 - d0 < d:
@@ -400,33 +432,6 @@ def _scatter_correlate(x, w):
     return out
 
 
-def _scatter_tiles(cost):
-    """Tiles ``(b0, b1, d0, d1)`` of ``_scatter_correlate`` for ``cost``
-    [B, D], the bytes of each sample's output depth plane: runs of whole
-    samples within :data:`_TILE_BYTES`, or depth slabs of one sample that
-    exceeds it alone (at least one plane each)."""
-    per_sample = cost.sum(axis=1)
-    b0 = 0
-    while b0 < len(per_sample):
-        if per_sample[b0] <= _TILE_BYTES:
-            b1 = _fill(per_sample, b0)
-            yield b0, b1, 0, cost.shape[1]
-        else:
-            b1, d0 = b0 + 1, 0
-            while d0 < cost.shape[1]:
-                d1 = _fill(cost[b0], d0)
-                yield b0, b1, d0, d1
-                d0 = d1
-        b0 = b1
-
-
-def _fill(cost, i):
-    """End of the longest run ``cost[i:j]`` within :data:`_TILE_BYTES`,
-    one element at least."""
-    total = np.cumsum(cost[i:])
-    return i + max(1, int(np.searchsorted(total, _TILE_BYTES, side="right")))
-
-
 def _stacked_correlate(x, w):
     """``_correlate`` through the kernel stacked over its depth taps.
 
@@ -445,7 +450,8 @@ def _stacked_correlate(x, w):
     kernel = w.transpose(2, 0, 1, 3, 4).reshape(k * o, rows)
     out = np.empty((b, o, d, h, wd))
     buf = np.empty(0)
-    for b0, b1, z0, z1 in _stacked_tiles(x.shape, rows + k * o, p):
+    plane = (rows + k * o) * h * wd * x.itemsize
+    for b0, b1, z0, z1 in _tiles(np.full((b, d), plane), 2 * p):
         a, e = max(0, z0 - p), min(d, z1 + p)
         n, m = b1 - b0, (e - a) * h * wd
         if buf.size < (rows + k * o) * n * m:
@@ -486,25 +492,6 @@ def _fill_planes(cols, src, p):
             dst[..., y0:y1, x1:] = 0.0
             dst[..., y0:y1, x0:x1] = src[..., y0 + j - p:y1 + j - p,
                                          x0 + l - p:x1 + l - p]
-
-
-def _stacked_tiles(shape, rows, p):
-    """Tiles ``(b0, b1, z0, z1)`` of ``_stacked_correlate`` over an input of
-    ``shape`` whose column and product blocks hold ``rows`` doubles per
-    input position: runs of whole samples within :data:`_TILE_BYTES`, or
-    slabs of output planes of one sample (at least one plane each), whose
-    input planes reach ``p`` further on either side."""
-    b, _, d, h, w = shape
-    plane = rows * h * w * 8
-    if d * plane <= _TILE_BYTES:
-        nb = _TILE_BYTES // (d * plane)
-        for b0 in range(0, b, nb):
-            yield b0, min(b0 + nb, b), 0, d
-        return
-    nd = max(1, _TILE_BYTES // plane - 2 * p)
-    for b0 in range(b):
-        for z0 in range(0, d, nd):
-            yield b0, b0 + 1, z0, min(z0 + nd, d)
 
 
 @_op("conv3d")

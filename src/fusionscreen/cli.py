@@ -115,6 +115,9 @@ def _load_split(path):
 
 
 def cmd_train(args) -> int:
+    if args.preset and args.mode not in ("voxel", "graph", args.preset):
+        raise UsageError(f"--preset {args.preset} is a {args.preset} fusion "
+                         f"config; it cannot train --mode {args.mode}")
     out = Path(args.out)
     train_cx, val_cx = _load_split(args.data)
     if args.preset == "mid":
@@ -379,7 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["voxel", "graph", "mid", "coherent"],
                    help="a head, or a fusion model to train (late fusion "
                         "is inference-only: average the heads)")
-    p.add_argument("--preset", choices=["mid", "coherent"])
+    p.add_argument("--preset", choices=["mid", "coherent"],
+                   help="the published fusion config of that mode; it must "
+                        "match --mode, or lend a head its schedule")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)

@@ -35,6 +35,7 @@ from .optim import Optimizer, OptimizerConfig
 logger = logging.getLogger(__name__)
 
 AUGMENT_PROBABILITY = 0.1  # per-axis chance of a 90-degree rotation
+_EVAL_CHUNK = 256  # items per eval tape in ``_eval_mse``
 _BN_PREFIX = "bn_state/"  # checkpoint names of batch-norm running statistics
 
 _ACTIVATIONS = ("relu", "leaky-relu", "selu")
@@ -290,16 +291,16 @@ def _act(g: ValueGraph, kind: str, nid: int) -> int:
 
 
 def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int, prefix: str,
-                dropout_on: bool, bn_state: dict, frozen: bool = False,
+                bn_state: dict, frozen: bool = False,
                 inference: bool = False) -> tuple[int, int]:
     """Returns (prediction node [B,1], latent node [B, latent_width]).
 
-    A ``frozen`` head's batch-norm runs on, and keeps, the running
-    statistics in ``bn_state`` even in a training tape.  ``inference``
-    selects the forward-only convolutions: the first sums over the grid's
-    occupied cells only, the others stack their kernels' depth taps into
-    one GEMM per sample.  Values are the same up to the last bits, since
-    both sum in another order.
+    Dropout runs in a training tape only.  A ``frozen`` head's batch-norm
+    runs on, and keeps, the running statistics in ``bn_state`` even in a
+    training tape.  ``inference`` selects the forward-only convolutions: the
+    first sums over the grid's occupied cells only, the others stack their
+    kernels' depth taps into one GEMM per sample.  Values are the same up to
+    the last bits, since both sum in another order.
     """
     g = tape.graph
     p = lambda n: tape.p(f"{prefix}/{n}")
@@ -334,10 +335,10 @@ def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int, prefix: str,
     h4 = g.apply("max-pool3d", [h4], {"size": 2})
     flat = g.apply("flatten", [h4])
     d1 = _act(g, "relu", g.apply("dense", [flat, p("dense1_w"), p("dense1_b")]))
-    if dropout_on:
+    if g.training:
         d1 = g.apply("dropout", [d1], {"rate": cfg.dropout_early})
     d2 = _act(g, "relu", g.apply("dense", [d1, p("dense2_w"), p("dense2_b")]))
-    if dropout_on:
+    if g.training:
         d2 = g.apply("dropout", [d2], {"rate": cfg.dropout_mid})
     pred = g.apply("dense", [d2, p("out_w"), p("out_b")])
     return pred, d2
@@ -393,7 +394,7 @@ def _graph_tape(tape: _Tape, cfg: GraphHeadConfig, batch: GraphBatch,
 
 
 def _fusion_tape(tape: _Tape, cfg: FusionConfig, latent_g: int, latent_v: int,
-                 prefix: str, dropout_on: bool) -> int:
+                 prefix: str) -> int:
     g = tape.graph
     p = lambda n: tape.p(f"{prefix}/{n}")
     act = cfg.activation
@@ -412,7 +413,7 @@ def _fusion_tape(tape: _Tape, cfg: FusionConfig, latent_g: int, latent_v: int,
         if cfg.residual_fusion and prev is not None:
             h = g.apply("elementwise-add", [h, prev])
         prev = h
-        if dropout_on and rates[i] > 0:
+        if g.training and rates[i] > 0:
             h = g.apply("dropout", [h], {"rate": rates[i]})
     return g.apply("dense", [h, p(f"fuse{n - 1}_w"), p(f"fuse{n - 1}_b")])
 
@@ -479,15 +480,14 @@ class FusionModel:
         tape.bind(self.graph_params, "graph", not freeze_heads)
         tape.bind(self.fusion_params, "fusion", True)
         x = g.input(vox_batch, "voxels")
-        _, lat_v = _voxel_tape(tape, self.voxel_cfg, x, "voxel", training,
-                               self.bn_state, freeze_heads, inference)
+        _, lat_v = _voxel_tape(tape, self.voxel_cfg, x, "voxel", self.bn_state,
+                               freeze_heads, inference)
         _, lat_g = _graph_tape(tape, self.graph_cfg, graph_batch, "graph")
-        pred = _fusion_tape(tape, self.fusion_cfg, lat_g, lat_v, "fusion",
-                            training)
+        pred = _fusion_tape(tape, self.fusion_cfg, lat_g, lat_v, "fusion")
         return g, pred, _mse_loss(g, pred, labels), tape.pnodes
 
     # -- prediction ------------------------------------------------------
-    def predict_batch(self, items, batch_seed: int = 0):
+    def predict_batch(self, items):
         """Scores (VoxelGrid, ComplexGraph) pairs in eval mode.
 
         Returns (predictions, errors): predictions is a list aligned with the
@@ -519,16 +519,15 @@ class FusionModel:
                 graph_head_forward(self.graph_params, self.graph_cfg,
                                    graphs)[0])
         else:
-            scores = self._eval_tape_predict(grids, graphs, batch_seed,
-                                             inference=True)
+            scores = self._eval_tape_predict(grids, graphs, inference=True)
         for i, s in zip(valid, scores):
             preds[i] = float(s)
         return preds, errors
 
-    def _eval_tape_predict(self, grids, graphs, seed: int = 0,
+    def _eval_tape_predict(self, grids, graphs,
                            inference: bool = False) -> np.ndarray:
         vox = np.stack([v.occupancy for v in grids])
-        g, pred, _, _ = self.build_tape(vox, batch_graphs(graphs), seed=seed,
+        g, pred, _, _ = self.build_tape(vox, batch_graphs(graphs),
                                         inference=inference)
         return g.value(pred)[:, 0]
 
@@ -550,6 +549,19 @@ class FusionModel:
                     f"{graph.node_features.shape} != {self.graph_cfg.feature_width}")
         if not np.all(np.isfinite(graph.node_features)):
             return "graph features contain non-finite values"
+        n = graph.n_nodes
+        if n == 0:
+            return "graph has no nodes"
+        for name in ("covalent_edges", "noncovalent_edges"):
+            # batch_graphs offsets edges into one adjacency, so an index
+            # outside the graph would link it to another pose's nodes
+            e = getattr(graph, name)
+            if not (isinstance(e, np.ndarray) and e.ndim == 2
+                    and e.shape[1] == 2 and e.dtype.kind in "iu"):
+                return f"graph {name} is not an integer [e, 2] array"
+            # one pass: a negative index wraps to a large unsigned one
+            if e.size and e.astype(np.uint64).max() >= n:
+                return f"graph {name} index outside [0, {n})"
         return None
 
     # -- parameter bookkeeping -------------------------------------------
@@ -652,7 +664,7 @@ def _head_tape(kind: str, params: dict, cfg, x, training: bool = False,
     tape.bind(params, kind, training)
     if kind == "voxel":
         pred, lat = _voxel_tape(tape, cfg, g.input(x, "voxels"), "voxel",
-                                training, {} if bn_state is None else bn_state,
+                                {} if bn_state is None else bn_state,
                                 inference=inference)
     else:
         pred, lat = _graph_tape(tape, cfg, x, "graph")
@@ -667,24 +679,21 @@ def _mse_loss(g: ValueGraph, pred: int, labels) -> int | None:
 
 
 def voxel_head_forward(params: dict, cfg: VoxelHeadConfig, grids,
-                       training: bool = False, seed: int = 0,
                        bn_state: dict | None = None,
                        inference: bool = False):
-    """Returns (predictions [B], latents [B, latent_width]);
+    """Eval-mode (predictions [B], latents [B, latent_width]);
     ``inference`` as in ``_voxel_tape``."""
     g, pred, lat, _, _ = _head_tape("voxel", params, cfg,
-                                    _stack_grids(grids, cfg), training, seed,
-                                    bn_state, inference=inference)
+                                    _stack_grids(grids, cfg),
+                                    bn_state=bn_state, inference=inference)
     return g.value(pred)[:, 0], g.value(lat)
 
 
-def graph_head_forward(params: dict, cfg: GraphHeadConfig, graphs,
-                       training: bool = False, seed: int = 0):
-    """Returns (predictions [B], latents [B, gather_width_noncov])."""
+def graph_head_forward(params: dict, cfg: GraphHeadConfig, graphs):
+    """Eval-mode (predictions [B], latents [B, gather_width_noncov])."""
     if isinstance(graphs, ComplexGraph):
         graphs = [graphs]
-    g, pred, lat, _, _ = _head_tape("graph", params, cfg, batch_graphs(graphs),
-                                    training, seed)
+    g, pred, lat, _, _ = _head_tape("graph", params, cfg, batch_graphs(graphs))
     return g.value(pred)[:, 0], g.value(lat)
 
 
@@ -725,8 +734,9 @@ def featurize(complexes: list[SyntheticComplex], voxel_cfg: VoxelHeadConfig,
     return out
 
 
-def _eval_mse(predict, items: list[FeaturizedItem], chunk: int = 256) -> float:
-    """Chunked MSE of ``predict(part)``; a FusionModel predicts by eval tape.
+def _eval_mse(predict, items: list[FeaturizedItem]) -> float:
+    """MSE of ``predict(part)`` over chunks of :data:`_EVAL_CHUNK` items; a
+    FusionModel predicts by eval tape.
 
     Validation keeps the dense convolutions: the golden training histories
     pin ``val_mse`` bitwise, and the ``inference`` convolutions of
@@ -737,8 +747,8 @@ def _eval_mse(predict, items: list[FeaturizedItem], chunk: int = 256) -> float:
         predict = lambda part: model._eval_tape_predict(
             [it.grid for it in part], [it.graph for it in part])
     se, n = 0.0, 0
-    for i in range(0, len(items), chunk):
-        part = items[i:i + chunk]
+    for i in range(0, len(items), _EVAL_CHUNK):
+        part = items[i:i + _EVAL_CHUNK]
         y = np.array([it.label for it in part])
         se += float(((predict(part) - y) ** 2).sum())
         n += len(part)

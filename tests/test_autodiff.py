@@ -1,8 +1,11 @@
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from fusionscreen import autodiff
@@ -581,7 +584,7 @@ class TestStackedConv:
     def test_tiles_fit_the_budget(self, tile, tiles, rng, monkeypatch):
         monkeypatch.setattr(autodiff, "_TILE_BYTES", tile)
         xs = (4, 2, 6, 5, 4)
-        assert list(autodiff._stacked_tiles(xs, 27, 1)) == tiles
+        assert list(autodiff._tiles(np.full((4, 6), 20 * 27 * 8), 2)) == tiles
         for b0, b1, z0, z1 in tiles:
             planes = min(6, z1 + 1) - max(0, z0 - 1)
             assert (b1 - b0) * planes * 20 * 27 * 8 <= tile
@@ -619,6 +622,67 @@ class TestStackedConv:
                                 g.parameter(rng.normal(size=1))])
         loss = g.apply("mse-loss", [out, g.input(rng.normal(size=(2, 1)))])
         assert gradient_check(g, loss, 1e-5) < 1e-4
+
+
+def formula_im2col_tiles(shape, k, budget):
+    """The dense im2col's tiles ``(b0, b1, s0, s1)`` by the formula it used
+    before its kernels shared one planner: ``nb`` whole samples per tile,
+    or slabs of ``nd`` depth planes of one sample."""
+    b, c, d, h, w = shape
+    plane = h * w
+    positions = max(plane, budget // (c * k ** 3 * 8))
+    if d * plane <= positions:
+        nb, nd = positions // (d * plane), d
+    else:
+        nb, nd = 1, positions // plane
+    return [(b0, min(b0 + nb, b), d0 * plane, min(d0 + nd, d) * plane)
+            for b0 in range(0, b, nb) for d0 in range(0, d, nd)]
+
+
+class TestTilePlanner:
+    """``_tiles``, which plans the tiles of all three conv3d kernels."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(cost=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                      max_side=8),
+                           elements=st.integers(0, 4000)),
+           halo=st.integers(0, 4), budget=st.integers(1, 20_000))
+    def test_tiles_cover_fit_and_are_maximal(self, cost, halo, budget):
+        b, d = cost.shape
+        with mock.patch.object(autodiff, "_TILE_BYTES", budget):
+            tiles = list(autodiff._tiles(cost, halo))
+        # every (sample, plane) once, in order
+        assert [(i, z) for b0, b1, d0, d1 in tiles
+                for i in range(b0, b1) for z in range(d0, d1)] == \
+            [(i, z) for i in range(b) for z in range(d)]
+        for b0, b1, d0, d1 in tiles:
+            if cost[b0].sum() <= budget:
+                # a run of whole samples that the next sample would overflow
+                assert (d0, d1) == (0, d)
+                assert cost[b0:b1].sum() <= budget
+                assert b1 == b or cost[b0:b1 + 1].sum() > budget
+            else:
+                # a slab of a sample that exceeds the budget alone, leaving
+                # room for halo planes; only a single plane may overflow
+                assert b1 == b0 + 1
+                room = budget - halo * cost[b0].max()
+                assert d1 - d0 == 1 or cost[b0, d0:d1].sum() <= room
+                assert d1 == d or cost[b0, d0:d1 + 1].sum() > room
+
+    # (B, C, O, D, k): the convolutions of a criterion-3 training step and
+    # of a paper-size two-pose fine-tune.  Forward and weight gradient tile
+    # the C-channel input, the input gradient the O-channel output gradient.
+    @pytest.mark.parametrize("b,c,o,d,k", [
+        (128, 2, 4, 8, 3), (128, 4, 4, 8, 3), (128, 4, 8, 4, 3),
+        (128, 8, 8, 4, 3),
+        (2, 8, 32, 16, 5), (2, 32, 32, 16, 3), (2, 32, 64, 8, 3),
+        (2, 64, 64, 8, 3),
+    ])
+    def test_im2col_tiles_keep_their_gemm_shapes(self, b, c, o, d, k):
+        for channels in (c, o):
+            shape = (b, channels, d, d, d)
+            got = [t[:4] for t in autodiff._im2col_tiles(np.zeros(shape), k)]
+            assert got == formula_im2col_tiles(shape, k, autodiff._TILE_BYTES)
 
 
 def argmax_maxpool(x, s, g):

@@ -200,6 +200,41 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(vckpt) in err and "grid_extent=8 (expected 16)" in err
 
+    def test_preset_of_another_fusion_mode_exits_1(self, heads, tmp_path,
+                                                   monkeypatch, capsys):
+        data, vckpt, gckpt = heads
+        calls = []
+        monkeypatch.setattr(models, "load_head",
+                            lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(models, "featurize",
+                            lambda *a, **k: calls.append(a))
+        for mode, preset in (("mid", "coherent"), ("coherent", "mid")):
+            out = tmp_path / mode
+            assert run(["train", "--data", str(data), "--mode", mode,
+                        "--preset", preset, "--out", str(out),
+                        "--epochs", "1", "--grid-extent", "8",
+                        "--c-elem", "2", "--voxel-ckpt", str(vckpt),
+                        "--graph-ckpt", str(gckpt)]) == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"--preset {preset}" in err and f"--mode {mode}" in err
+            assert not out.exists()
+        assert calls == []
+
+    def test_preset_lends_a_head_its_schedule(self, tmp_path, monkeypatch):
+        data = gen_dataset(tmp_path, count=20)
+        seen = []
+        train_head = models.train_head
+        monkeypatch.setattr(
+            models, "train_head",
+            lambda *a, **k: seen.append(k) or train_head(*a, **k))
+        assert run(["train", "--data", str(data), "--mode", "graph",
+                    "--preset", "mid", "--out", str(tmp_path / "tr"),
+                    "--epochs", "1", "--grid-extent", "8",
+                    "--c-elem", "2"]) == cli.EXIT_OK
+        mid = models.table_mid_fusion_config()
+        assert [(k["batch_size"], k["optimizer_cfg"]) for k in seen] == \
+            [(mid.batch_size, mid.optimizer)]
+
     def test_late_mode_is_usage_error(self, tmp_path):
         data = gen_dataset(tmp_path, count=20)
         assert run(["train", "--data", str(data), "--mode", "late",

@@ -667,6 +667,29 @@ class TestModelScorer:
                            "reason": "voxel grid contains non-finite values"}]
         assert len(harness.load_shards(tmp_path)) == 19
 
+    def test_pose_with_malformed_graph_logged_campaign_finishes(
+            self, toy_model, toy_items, tmp_path):
+        lib = [PoseRecord(f"c{i}", "t0", 0,
+                          (toy_items[i].grid, toy_items[i].graph))
+               for i in range(3)]
+        grid, graph = lib[1].payload
+        # an edge to a node past the graph's end
+        graph = dataclasses.replace(
+            graph, covalent_edges=np.array([[0, graph.n_nodes]]))
+        lib[1] = PoseRecord("c1", "t0", 0, (grid, graph))
+        reason = f"graph covalent_edges index outside [0, {graph.n_nodes})"
+        preds, report = run_campaign(lib, harness.ModelScorer(toy_model),
+                                     n_jobs=1, out_dir=tmp_path,
+                                     batch_size=3)
+        assert report.complete
+        assert report.corrupted == [(pose_key(lib[1]), reason)]
+        alone, _ = toy_model.predict_batch([lib[0].payload, lib[2].payload])
+        assert sorted((r.compound_id, r.predicted_pk) for r in preds) == \
+            [("c0", alone[0]), ("c2", alone[1])]
+        logged = (tmp_path / "job_00000_errors.jsonl").read_text()
+        assert [json.loads(line) for line in logged.splitlines()] == \
+            [{"pose": pose_key(lib[1]), "reason": reason}]
+
 
 def pose_key_of(r):
     return f"{r.compound_id}/{r.target_id}/{r.pose_id}"

@@ -110,6 +110,23 @@ class TestLateFusion:
         assert np.allclose(preds, (pv + pg) / 2.0)
 
 
+# (graph field, its malformed value for the graph, the reason predict_batch
+# gives, formatted with the graph's node count)
+MALFORMED_GRAPHS = [
+    ("covalent_edges", lambda g: np.array([[0, g.n_nodes]]),
+     "graph covalent_edges index outside [0, {n})"),
+    ("noncovalent_edges", lambda g: np.array([[-1, 0]]),
+     "graph noncovalent_edges index outside [0, {n})"),
+    ("covalent_edges", lambda g: np.array([[0.0, 1.0]]),
+     "graph covalent_edges is not an integer [e, 2] array"),
+    ("noncovalent_edges", lambda g: np.zeros((1, 3), dtype=np.int64),
+     "graph noncovalent_edges is not an integer [e, 2] array"),
+    ("covalent_edges", lambda g: [[0, 1]],
+     "graph covalent_edges is not an integer [e, 2] array"),
+    ("node_features", lambda g: g.node_features[:0], "graph has no nodes"),
+]
+
+
 class TestForward:
     def test_deterministic_eval_forward(self, toy_model, toy_items):
         items = [(it.grid, it.graph) for it in toy_items[:3]]
@@ -153,6 +170,24 @@ class TestForward:
         assert preds[1] is None
         assert errors == [(1, "item is not a (VoxelGrid, ComplexGraph) pair")]
         assert preds[0] == preds[2]
+
+    @pytest.mark.parametrize("field,value,reason", MALFORMED_GRAPHS,
+                             ids=["past-end", "negative", "float",
+                                  "three-columns", "list", "no-nodes"])
+    def test_malformed_graph_does_not_spoil_its_batch(self, field, value,
+                                                      reason, toy_model,
+                                                      toy_items):
+        good = [(it.grid, it.graph) for it in toy_items[1:3]]
+        alone, _ = toy_model.predict_batch(good)
+        graph = toy_items[0].graph
+        bad = (toy_items[0].grid, replace(graph, **{field: value(graph)}))
+        for at in (0, 2):
+            preds, errors = toy_model.predict_batch(good[:at] + [bad]
+                                                    + good[at:])
+            assert errors == [(at, reason.format(n=graph.n_nodes))]
+            assert preds[at] is None
+            assert [p.hex() for i, p in enumerate(preds) if i != at] == \
+                [p.hex() for p in alone]
 
     def test_predict_batch_rejects_wrong_grid_shape(self, toy_model,
                                                     toy_items):
