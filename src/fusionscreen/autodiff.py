@@ -55,22 +55,23 @@ paper-size one; one buffer kept per thread and never freed, about 7,500
 and 9,500, at about 1.5x the criterion-3 call time.  24 MB stays below glibc's
 32 MB cap on the threshold.
 
-Two conv3d forward paths serve prediction tapes only (``models`` sets their
-attrs for ``predict_batch``); training and validation keep the dense path,
-since the golden training histories pin their losses bitwise.  Both sum in
-another order than the dense GEMM, so values agree with it to about 1e-15
-relative, not bitwise, but each sample's output is still independent of
-the rest of the batch.  Backward stays dense on both: the dense input is on
-the tape.
+Two conv3d forward paths serve inference graphs only (``models`` builds
+them for ``predict_batch``): there a conv over a leaf made by ``input`` (the
+voxel grid) takes the scatter path, and any other the stacked one.  Training
+and validation keep the dense path, since the golden training histories pin
+their losses bitwise.  Both paths sum in another order than the dense GEMM,
+so values agree with it to about 1e-15 relative, not bitwise, but each
+sample's output is still independent of the rest of the batch.  Backward
+stays dense on both: the dense input is on the tape.
 
-- ``sparse_input`` computes the forward from the input's nonzero cells
-  (``_scatter_correlate``): a paper-size voxel grid fills about 57 of its
+- The scatter path (``_scatter_correlate``) computes the forward from the
+  input's nonzero cells: a paper-size voxel grid fills about 57 of its
   32,768 cells, and the dense im2col would multiply the rest by zero.  Its
   im2col is a CSR matrix built from ``np.nonzero(x)``, multiplied by the
   reshaped kernel in one scipy product per tile.  A plane's cost is its
   sparse entries and dense product rows, so a sample's cost follows its
   nonzero cells.
-- ``stacked`` (``_stacked_correlate``) builds the im2col over (channel,
+- The stacked path (``_stacked_correlate``) builds the im2col over (channel,
   kernel row, kernel column) only, k^2 copies of the input where the dense
   path makes k^3, and multiplies it by the kernel stacked over its depth
   taps, ``[k*O, C*k^2]``, one GEMM per sample; each output plane then sums
@@ -108,6 +109,8 @@ __all__ = [
 SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
 LEAKY_SLOPE = 0.01
+_BN_EPS = 1e-5  # batch-norm variance floor
+_BN_MOMENTUM = 0.1  # batch-norm running-statistics update rate
 
 # Bytes of one conv3d im2col tile; see the module docstring.
 _TILE_BYTES = 24 * 2 ** 20
@@ -170,11 +173,17 @@ def _op(name):
 
 
 class ValueGraph:
-    """Ordered tape of operation records with trainable leaf parameters."""
+    """Ordered tape of operation records with trainable leaf parameters, in
+    ``training`` mode, ``inference`` mode (module docstring) or neither."""
 
-    def __init__(self, seed: int = 0, training: bool = False):
+    def __init__(self, seed: int = 0, training: bool = False,
+                 inference: bool = False):
+        if training and inference:
+            raise GraphError("a graph is either a training or an inference "
+                             "graph, not both")
         self.nodes: list[Node] = []
         self.training = training
+        self.inference = inference
         self.rng = np.random.default_rng(seed)
 
     # -- leaves ---------------------------------------------------------
@@ -512,12 +521,12 @@ def _conv3d():
             f"input channels {x.shape} vs kernel {w.shape}",
         )
         _check(b.shape == (w.shape[0],), "conv3d", f"bias {b.shape} vs kernel {w.shape}")
-        if node.attrs.get("sparse_input"):
-            correlate = _scatter_correlate
-        elif node.attrs.get("stacked"):
-            correlate = _stacked_correlate
-        else:
-            correlate = _correlate
+        correlate = _correlate
+        if graph.inference:
+            src = graph.nodes[node.inputs[0]]
+            correlate = (_scatter_correlate
+                         if src.op == "leaf" and not src.trainable
+                         else _stacked_correlate)
         out = correlate(x, w)
         out += b[None, :, None, None, None]
         return out
@@ -686,7 +695,6 @@ def _batch_norm():
             "batch-norm",
             f"gamma/beta must have shape ({c},)",
         )
-        eps = float(node.attrs.get("eps", 1e-5))
         axes = tuple(i for i in range(x.ndim) if i != 1)
         shape = tuple(c if i == 1 else 1 for i in range(x.ndim))
         state = node.attrs.setdefault(
@@ -696,12 +704,11 @@ def _batch_norm():
         if train:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            momentum = float(node.attrs.get("momentum", 0.1))
-            state["mean"] = (1 - momentum) * state["mean"] + momentum * mean
-            state["var"] = (1 - momentum) * state["var"] + momentum * var
+            state["mean"] = (1 - _BN_MOMENTUM) * state["mean"] + _BN_MOMENTUM * mean
+            state["var"] = (1 - _BN_MOMENTUM) * state["var"] + _BN_MOMENTUM * var
         else:
             mean, var = state["mean"], state["var"]
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + _BN_EPS)
         xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
         node.ctx.update(xhat=xhat, inv=inv, axes=axes, shape=shape,
                         train=train)

@@ -291,16 +291,12 @@ def _act(g: ValueGraph, kind: str, nid: int) -> int:
 
 
 def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int, prefix: str,
-                bn_state: dict, frozen: bool = False,
-                inference: bool = False) -> tuple[int, int]:
+                bn_state: dict, frozen: bool = False) -> tuple[int, int]:
     """Returns (prediction node [B,1], latent node [B, latent_width]).
 
     Dropout runs in a training tape only.  A ``frozen`` head's batch-norm
     runs on, and keeps, the running statistics in ``bn_state`` even in a
-    training tape.  ``inference`` selects the forward-only convolutions: the
-    first sums over the grid's occupied cells only, the others stack their
-    kernels' depth taps into one GEMM per sample.  Values are the same up to
-    the last bits, since both sum in another order.
+    training tape.
     """
     g = tape.graph
     p = lambda n: tape.p(f"{prefix}/{n}")
@@ -315,21 +311,21 @@ def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int, prefix: str,
         return _bn_apply(g, nid, p(f"bn{idx}_gamma"), p(f"bn{idx}_beta"),
                          bn_state, f"bn{idx}", bn_training)
 
-    def conv(nid, idx, attrs):
+    def conv(nid, idx):
         return _act(g, "relu", g.apply(
-            "conv3d", [nid, p(f"conv{idx}_w"), p(f"conv{idx}_b")], attrs))
+            "conv3d", [nid, p(f"conv{idx}_w"), p(f"conv{idx}_b")]))
 
-    h1 = conv(x_nid, 1, {"sparse_input": inference})
+    h1 = conv(x_nid, 1)
     if use_bn:
         h1 = bn(h1, 1)
-    h2 = conv(h1, 2, {"stacked": inference})
+    h2 = conv(h1, 2)
     if cfg.residual_1:
         h2 = g.apply("elementwise-add", [h2, h1])
     h2 = g.apply("max-pool3d", [h2], {"size": 2})
-    h3 = conv(h2, 3, {"stacked": inference})
+    h3 = conv(h2, 3)
     if use_bn:
         h3 = bn(h3, 2)
-    h4 = conv(h3, 4, {"stacked": inference})
+    h4 = conv(h3, 4)
     if cfg.residual_2:
         h4 = g.apply("elementwise-add", [h4, h3])
     h4 = g.apply("max-pool3d", [h4], {"size": 2})
@@ -467,21 +463,21 @@ class FusionModel:
                    training: bool = False, labels: np.ndarray | None = None,
                    seed: int = 0, freeze_heads: bool = False,
                    inference: bool = False):
-        """Builds the full forward tape; ``inference`` as in ``_voxel_tape``.
+        """Builds the full forward tape; ``predict_batch``'s is ``inference``.
 
         Returns (graph, pred_node, loss_node_or_None, name->nid map).
         """
         mode = self.fusion_cfg.mode
         if mode == "late":
             raise GraphError("late fusion has no joint tape; average the heads")
-        g = ValueGraph(seed=seed, training=training)
+        g = ValueGraph(seed=seed, training=training, inference=inference)
         tape = _Tape(g)
         tape.bind(self.voxel_params, "voxel", not freeze_heads)
         tape.bind(self.graph_params, "graph", not freeze_heads)
         tape.bind(self.fusion_params, "fusion", True)
         x = g.input(vox_batch, "voxels")
         _, lat_v = _voxel_tape(tape, self.voxel_cfg, x, "voxel", self.bn_state,
-                               freeze_heads, inference)
+                               freeze_heads)
         _, lat_g = _graph_tape(tape, self.graph_cfg, graph_batch, "graph")
         pred = _fusion_tape(tape, self.fusion_cfg, lat_g, lat_v, "fusion")
         return g, pred, _mse_loss(g, pred, labels), tape.pnodes
@@ -492,11 +488,11 @@ class FusionModel:
 
         Returns (predictions, errors): predictions is a list aligned with the
         input (None for failed items); errors is a list of (index, reason).
-        Malformed items never abort the batch.  The tape is built with
-        ``inference`` (see ``_voxel_tape``): the first convolution sums over
-        occupied voxels only and the others run one GEMM per sample over
-        their kernels' stacked depth taps, so a score can differ in the last
-        bits from the dense path that training and validation take.
+        Malformed items never abort the batch.  The tape is an inference
+        graph (see ``autodiff``): the first convolution sums over occupied
+        voxels only and the others run one GEMM per sample over their
+        kernels' stacked depth taps, so a score can differ in the last bits
+        from the dense path that training and validation take.
         """
         preds: list[float | None] = [None] * len(items)
         errors: list[tuple[int, str]] = []
@@ -509,27 +505,21 @@ class FusionModel:
                 errors.append((i, reason))
         if not valid:
             return preds, errors
-        grids = [items[i][0] for i in valid]
+        vox = np.stack([items[i][0].occupancy for i in valid])
         graphs = [items[i][1] for i in valid]
         if self.fusion_cfg.mode == "late":
             scores = late_fusion_predict(
-                voxel_head_forward(self.voxel_params, self.voxel_cfg, grids,
-                                   bn_state=self.bn_state,
-                                   inference=True)[0],
+                _scores(_head_tape("voxel", self.voxel_params, self.voxel_cfg,
+                                   vox, bn_state=self.bn_state,
+                                   inference=True)),
                 graph_head_forward(self.graph_params, self.graph_cfg,
                                    graphs)[0])
         else:
-            scores = self._eval_tape_predict(grids, graphs, inference=True)
+            scores = _scores(self.build_tape(vox, batch_graphs(graphs),
+                                             inference=True))
         for i, s in zip(valid, scores):
             preds[i] = float(s)
         return preds, errors
-
-    def _eval_tape_predict(self, grids, graphs,
-                           inference: bool = False) -> np.ndarray:
-        vox = np.stack([v.occupancy for v in grids])
-        g, pred, _, _ = self.build_tape(vox, batch_graphs(graphs),
-                                        inference=inference)
-        return g.value(pred)[:, 0]
 
     def _validate_item(self, item) -> str | None:
         try:
@@ -538,6 +528,10 @@ class FusionModel:
             return "item is not a (VoxelGrid, ComplexGraph) pair"
         if not isinstance(grid, VoxelGrid) or not isinstance(graph, ComplexGraph):
             return "item is not a (VoxelGrid, ComplexGraph) pair"
+        for what, a in (("voxel grid occupancy", grid.occupancy),
+                        ("graph node_features", graph.node_features)):
+            if not (isinstance(a, np.ndarray) and a.dtype.kind in "biuf"):
+                return f"{what} is not a numeric array"
         want = (self.voxel_cfg.in_channels,) + (self.voxel_cfg.grid_extent,) * 3
         if grid.occupancy.shape != want:
             return f"voxel grid shape {grid.occupancy.shape} != {want}"
@@ -654,21 +648,25 @@ def load_head(path, expected_cfg) -> tuple[dict, dict]:
 def _head_tape(kind: str, params: dict, cfg, x, training: bool = False,
                seed: int = 0, bn_state: dict | None = None, labels=None,
                inference: bool = False):
-    """One head's tape over ``x``, a voxel batch or a GraphBatch;
-    ``inference`` as in ``_voxel_tape``.
+    """One head's tape over ``x``, a voxel batch or a GraphBatch, in an
+    ``inference`` graph for ``predict_batch``.
 
     Returns (graph, pred_node, latent_node, loss_node_or_None, name->nid map).
     """
-    g = ValueGraph(seed=seed, training=training)
+    g = ValueGraph(seed=seed, training=training, inference=inference)
     tape = _Tape(g)
     tape.bind(params, kind, training)
     if kind == "voxel":
         pred, lat = _voxel_tape(tape, cfg, g.input(x, "voxels"), "voxel",
-                                {} if bn_state is None else bn_state,
-                                inference=inference)
+                                {} if bn_state is None else bn_state)
     else:
         pred, lat = _graph_tape(tape, cfg, x, "graph")
     return g, pred, lat, _mse_loss(g, pred, labels), tape.pnodes
+
+
+def _scores(tape) -> np.ndarray:
+    """Predictions [B] of a ``build_tape`` or ``_head_tape`` result."""
+    return tape[0].value(tape[1])[:, 0]
 
 
 def _mse_loss(g: ValueGraph, pred: int, labels) -> int | None:
@@ -679,13 +677,11 @@ def _mse_loss(g: ValueGraph, pred: int, labels) -> int | None:
 
 
 def voxel_head_forward(params: dict, cfg: VoxelHeadConfig, grids,
-                       bn_state: dict | None = None,
-                       inference: bool = False):
-    """Eval-mode (predictions [B], latents [B, latent_width]);
-    ``inference`` as in ``_voxel_tape``."""
+                       bn_state: dict | None = None):
+    """Eval-mode (predictions [B], latents [B, latent_width])."""
     g, pred, lat, _, _ = _head_tape("voxel", params, cfg,
                                     _stack_grids(grids, cfg),
-                                    bn_state=bn_state, inference=inference)
+                                    bn_state=bn_state)
     return g.value(pred)[:, 0], g.value(lat)
 
 
@@ -735,17 +731,12 @@ def featurize(complexes: list[SyntheticComplex], voxel_cfg: VoxelHeadConfig,
 
 
 def _eval_mse(predict, items: list[FeaturizedItem]) -> float:
-    """MSE of ``predict(part)`` over chunks of :data:`_EVAL_CHUNK` items; a
-    FusionModel predicts by eval tape.
+    """MSE of ``predict(part)`` over chunks of :data:`_EVAL_CHUNK` items.
 
-    Validation keeps the dense convolutions: the golden training histories
-    pin ``val_mse`` bitwise, and the ``inference`` convolutions of
-    ``predict_batch`` sum in another order.
+    Validation predicts through eval graphs, not inference ones: the golden
+    training histories pin ``val_mse`` bitwise, and the inference
+    convolutions of ``predict_batch`` sum in another order.
     """
-    if isinstance(predict, FusionModel):
-        model = predict
-        predict = lambda part: model._eval_tape_predict(
-            [it.grid for it in part], [it.graph for it in part])
     se, n = 0.0, 0
     for i in range(0, len(items), _EVAL_CHUNK):
         part = items[i:i + _EVAL_CHUNK]
@@ -842,7 +833,12 @@ def train(model: FusionModel, train_set, val_set, cfg: FusionConfig | None = Non
             freeze_heads=cfg.mode == "mid")
         return g, loss, pnodes
 
-    history = _fit(model._param_groups(), model.bn_state, step, model,
+    def predict(part):
+        return _scores(model.build_tape(
+            np.stack([it.grid.occupancy for it in part]),
+            batch_graphs([it.graph for it in part])))
+
+    history = _fit(model._param_groups(), model.bn_state, step, predict,
                    train_set, val_set, cfg.epochs, cfg.batch_size,
                    cfg.optimizer, np.random.default_rng(seed))
     return model, history
@@ -850,7 +846,7 @@ def train(model: FusionModel, train_set, val_set, cfg: FusionConfig | None = Non
 
 def train_head(kind: str, params: dict, cfg, train_items, val_items,
                epochs: int, batch_size: int, optimizer_cfg: OptimizerConfig,
-               seed: int = 0, augment: bool = True):
+               seed: int = 0):
     """Trains one head in isolation; returns (params, bn_state, history).
 
     ``kind`` is "voxel" or "graph".  ``params`` and ``bn_state`` (batch-norm
@@ -865,9 +861,7 @@ def train_head(kind: str, params: dict, cfg, train_items, val_items,
     def step(part, rng):
         step_seed = int(rng.integers(0, 2 ** 31 - 1))
         if kind == "voxel":
-            aug_seed = int(rng.integers(0, 2 ** 31 - 1))
-            x = (_augmented_voxels(part, aug_seed) if augment
-                 else np.stack([it.grid.occupancy for it in part]))
+            x = _augmented_voxels(part, int(rng.integers(0, 2 ** 31 - 1)))
         else:
             x = batch_graphs([it.graph for it in part])
         g, _, _, loss, pnodes = _head_tape(kind, params, cfg, x, True,

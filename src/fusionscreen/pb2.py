@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 MUTATION_PROBABILITY = 0.1   # categorical/boolean re-sample chance on explore
 FALLBACK_SPREAD = 0.2        # +/-20% uniform perturbation before the GP has data
 UCB_KAPPA = 2.0
+GP_TIME_DECAY = 10.0         # epochs; time scale of the GP kernel's decay
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +219,9 @@ class GpBanditState:
     sliding window are dropped.
     """
 
-    def __init__(self, n_dims: int, window: int = 64, time_decay: float = 10.0):
+    def __init__(self, n_dims: int, window: int = 64):
         self.n_dims = n_dims
         self.window = window
-        self.time_decay = time_decay
         self.observations: list[tuple[np.ndarray, float, float]] = []
 
     def observe(self, x_unit: np.ndarray, t: float, score_change: float) -> None:
@@ -233,7 +233,7 @@ class GpBanditState:
     def _kernel(self, a, ta, b, tb, lengthscale):
         d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
         dt = np.abs(ta[:, None] - tb[None, :])
-        return np.exp(-d2 / (2 * lengthscale ** 2)) * np.exp(-dt / self.time_decay)
+        return np.exp(-d2 / (2 * lengthscale ** 2)) * np.exp(-dt / GP_TIME_DECAY)
 
     def _fit(self):
         x = np.array([o[0] for o in self.observations])
@@ -446,18 +446,18 @@ def random_search(space: HyperParamSpace, pb2: Pb2Config, budget_epochs: int,
 # documented synthetic objective for efficacy checks
 # ---------------------------------------------------------------------------
 
-def quadratic_trainable(optimum: float = 1e-2, drift: float = 0.002,
-                        param: str = "learning_rate"):
+def quadratic_trainable(optimum: float = 1e-2, drift: float = 0.002):
     """Synthetic time-varying quadratic objective.
 
-    The score after epoch e is ``(log10(x) - log10(opt(e)))**2`` where
-    ``opt(e) = optimum * (1 + drift)**e`` drifts slowly upward.  The
+    The score after epoch e is ``(log10(x) - log10(opt(e)))**2`` where x is
+    the trial's ``learning_rate`` and ``opt(e) = optimum * (1 + drift)**e``
+    drifts slowly upward.  The
     checkpoint carries a cumulative epoch counter array so exploit cloning is
     observable bitwise.
     """
 
     def run(trial: TrialState, n_epochs: int) -> TrialState:
-        x = float(trial.config[param])
+        x = float(trial.config["learning_rate"])
         for _ in range(n_epochs):
             trial.epoch += 1
             opt = optimum * (1 + drift) ** trial.epoch

@@ -169,7 +169,10 @@ def test_criterion_03_learning_signal():
                                           key=lambda it: it.label,
                                           id_key=lambda it: id(it))
         m = FusionModel(vcfg, gcfg, fcfg, seed=seed)
-        untrained_mse = models._eval_mse(m, va)
+        untrained_mse = models._eval_mse(
+            lambda part: models._scores(m.build_tape(
+                np.stack([it.grid.occupancy for it in part]),
+                models.batch_graphs([it.graph for it in part]))), va)
         var = float(np.var([it.label for it in va]))
         m, history = models.train(m, tr, va, fcfg, seed=seed)
         best_mse = min(h["val_mse"] for h in history)

@@ -56,6 +56,10 @@ class TestTape:
         with pytest.raises(GraphError):
             g.apply("relu", [41])
 
+    def test_training_inference_graph_rejected(self):
+        with pytest.raises(GraphError):
+            ValueGraph(training=True, inference=True)
+
     def test_non_finite_leaf_rejected(self):
         g = ValueGraph()
         with pytest.raises(GraphError):
@@ -443,9 +447,10 @@ def atom_grid(rng, shape, atoms, spread=None):
 
 
 def sparse_conv(x, w, b):
-    g = ValueGraph()
+    # in an inference graph, a conv over an input leaf takes the scatter path
+    g = ValueGraph(inference=True)
     return g.value(g.apply("conv3d", [g.input(x), g.parameter(w),
-                                      g.parameter(b)], {"sparse_input": True}))
+                                      g.parameter(b)]))
 
 
 def relative_error(a, ref):
@@ -453,7 +458,7 @@ def relative_error(a, ref):
 
 
 class TestScatterConv:
-    """The ``sparse_input`` forward of conv3d against the dense one."""
+    """The scatter forward of conv3d against the dense one."""
 
     @pytest.mark.parametrize("xs,ws,atoms", [
         ((4, 8, 16, 16, 16), (32, 8, 5, 5, 5), 57),    # paper size
@@ -524,9 +529,10 @@ class TestScatterConv:
 
 
 def stacked_conv(x, w, b):
-    g = ValueGraph()
-    return g.value(g.apply("conv3d", [g.input(x), g.parameter(w),
-                                      g.parameter(b)], {"stacked": True}))
+    # in an inference graph, a conv over a parameter takes the stacked path
+    g = ValueGraph(inference=True)
+    return g.value(g.apply("conv3d", [g.parameter(x), g.parameter(w),
+                                      g.parameter(b)]))
 
 
 # (x shape, output channels): the dense convolutions of the paper-size and
@@ -539,7 +545,7 @@ STACKED_SHAPES = [
 
 
 class TestStackedConv:
-    """The ``stacked`` forward of conv3d against the dense one."""
+    """The stacked forward of conv3d against the dense one."""
 
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("xs,o", STACKED_SHAPES)
@@ -598,30 +604,59 @@ class TestStackedConv:
                    rng.normal(size=(3, 2, 3, 3, 3)), rng.normal(size=3))
         gout = rng.normal(size=(3, 3, 4, 4, 4))
         grads = []
-        for attrs in ({}, {"stacked": True}):
-            g = ValueGraph()
+        for inference in (False, True):
+            g = ValueGraph(inference=inference)
             out = g.apply("conv3d", [g.parameter(x), g.parameter(w),
-                                     g.parameter(b)], attrs)
+                                     g.parameter(b)])
             grads.append([v.tobytes() for v in autodiff._OPS["conv3d"][1](
                 g.nodes[out], [x, w, b], gout)])
         assert grads[0] == grads[1]
 
     def test_gradient_check_conv_pool_tape(self, rng):
-        g = ValueGraph()
+        # the first conv takes the scatter path, the second the stacked one
+        g = ValueGraph(inference=True)
         x = g.input(rng.normal(size=(2, 2, 4, 4, 4)))
         h = g.apply("conv3d", [x, g.parameter(rng.normal(size=(3, 2, 3, 3, 3)) * 0.3),
-                               g.parameter(rng.normal(size=3) * 0.1)],
-                    {"stacked": True})
+                               g.parameter(rng.normal(size=3) * 0.1)])
         h = g.apply("tanh", [h])
         h = g.apply("max-pool3d", [h], {"size": 2})
         h = g.apply("conv3d", [h, g.parameter(rng.normal(size=(2, 3, 3, 3, 3)) * 0.3),
-                               g.parameter(rng.normal(size=2) * 0.1)],
-                    {"stacked": True})
+                               g.parameter(rng.normal(size=2) * 0.1)])
         h = g.apply("flatten", [h])
         out = g.apply("dense", [h, g.parameter(rng.normal(size=(16, 1)) * 0.3),
                                 g.parameter(rng.normal(size=1))])
         loss = g.apply("mse-loss", [out, g.input(rng.normal(size=(2, 1)))])
         assert gradient_check(g, loss, 1e-5) < 1e-4
+
+
+class TestConvRouting:
+    """conv3d takes its forward path from the graph's mode and its input."""
+
+    @pytest.mark.parametrize("source,inference,kernel", [
+        ("input", False, "_correlate"),
+        ("parameter", False, "_correlate"),
+        ("op", False, "_correlate"),
+        ("input", True, "_scatter_correlate"),
+        ("parameter", True, "_stacked_correlate"),
+        ("op", True, "_stacked_correlate"),
+    ])
+    def test_forward_path(self, source, inference, kernel, rng, monkeypatch):
+        calls = []
+        for name in ("_correlate", "_scatter_correlate", "_stacked_correlate"):
+            monkeypatch.setattr(autodiff, name,
+                                lambda x, w, name=name, f=getattr(autodiff, name):
+                                calls.append(name) or f(x, w))
+        g = ValueGraph(inference=inference)
+        x = {"input": g.input, "parameter": g.parameter,
+             "op": lambda v: g.apply("relu", [g.parameter(v)])}[source](
+                 rng.normal(size=(2, 2, 4, 4, 4)))
+        out = g.apply("conv3d", [x, g.parameter(rng.normal(size=(3, 2, 3, 3, 3))),
+                                 g.parameter(rng.normal(size=3))])
+        assert calls == [kernel]
+        calls.clear()
+        g.backward(g.apply("mse-loss", [out, g.input(np.zeros((2, 3, 4, 4, 4)))]))
+        # backward stays dense: an input gradient only where x needs one
+        assert calls == ([] if source == "input" else ["_correlate"])
 
 
 def formula_im2col_tiles(shape, k, budget):

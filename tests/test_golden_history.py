@@ -68,24 +68,24 @@ def _run_coherent_batch_norm(vcfg, gcfg, tr, va):
     return _train(m, tr, va, cfg, seed=13)
 
 
-def _run_head(kind, vcfg, gcfg, tr, va, **kw):
+def _run_head(kind, vcfg, gcfg, tr, va):
     cfg, init = ((vcfg, models.init_voxel_params) if kind == "voxel"
                  else (gcfg, models.init_graph_params))
     params = init(cfg, np.random.default_rng(7))
     params, _, history = models.train_head(kind, params, cfg, tr, va,
                                            epochs=3, batch_size=5,
-                                           optimizer_cfg=_OPT, seed=14, **kw)
+                                           optimizer_cfg=_OPT, seed=14)
     return params, history
 
 
 def _run_voxel_head_augment(vcfg, gcfg, tr, va):
     vcfg = replace(vcfg, dropout_early=0.25)
-    return _run_head("voxel", vcfg, gcfg, tr, va, augment=True)
+    return _run_head("voxel", vcfg, gcfg, tr, va)
 
 
 def _run_voxel_head_batch_norm(vcfg, gcfg, tr, va):
     vcfg = replace(vcfg, batch_norm=True)
-    return _run_head("voxel", vcfg, gcfg, tr, va, augment=True)
+    return _run_head("voxel", vcfg, gcfg, tr, va)
 
 
 def _run_graph_head(vcfg, gcfg, tr, va):

@@ -124,7 +124,34 @@ MALFORMED_GRAPHS = [
     ("covalent_edges", lambda g: [[0, 1]],
      "graph covalent_edges is not an integer [e, 2] array"),
     ("node_features", lambda g: g.node_features[:0], "graph has no nodes"),
+    ("node_features", lambda g: g.node_features.tolist(),
+     "graph node_features is not a numeric array"),
+    ("node_features", lambda g: g.node_features.astype(object),
+     "graph node_features is not a numeric array"),
 ]
+
+# (malformed occupancy for the grid, the reason predict_batch gives)
+MALFORMED_GRIDS = [
+    (lambda v: v.occupancy.tolist(),
+     "voxel grid occupancy is not a numeric array"),
+    (lambda v: v.occupancy.astype(object),
+     "voxel grid occupancy is not a numeric array"),
+    (lambda v: v.occupancy.astype(str),
+     "voxel grid occupancy is not a numeric array"),
+]
+
+
+def assert_bad_pose_spoils_nothing(model, items, bad, reason):
+    """``bad`` at the front and at the back of ``items`` comes back in
+    ``errors``, and the other scores are bitwise those of ``items`` alone."""
+    good = [(it.grid, it.graph) for it in items]
+    alone, _ = model.predict_batch(good)
+    for at in (0, len(good)):
+        preds, errors = model.predict_batch(good[:at] + [bad] + good[at:])
+        assert errors == [(at, reason)]
+        assert preds[at] is None
+        assert [p.hex() for i, p in enumerate(preds) if i != at] == \
+            [p.hex() for p in alone]
 
 
 class TestForward:
@@ -173,21 +200,23 @@ class TestForward:
 
     @pytest.mark.parametrize("field,value,reason", MALFORMED_GRAPHS,
                              ids=["past-end", "negative", "float",
-                                  "three-columns", "list", "no-nodes"])
+                                  "three-columns", "list", "no-nodes",
+                                  "features-list", "features-object"])
     def test_malformed_graph_does_not_spoil_its_batch(self, field, value,
                                                       reason, toy_model,
                                                       toy_items):
-        good = [(it.grid, it.graph) for it in toy_items[1:3]]
-        alone, _ = toy_model.predict_batch(good)
         graph = toy_items[0].graph
         bad = (toy_items[0].grid, replace(graph, **{field: value(graph)}))
-        for at in (0, 2):
-            preds, errors = toy_model.predict_batch(good[:at] + [bad]
-                                                    + good[at:])
-            assert errors == [(at, reason.format(n=graph.n_nodes))]
-            assert preds[at] is None
-            assert [p.hex() for i, p in enumerate(preds) if i != at] == \
-                [p.hex() for p in alone]
+        assert_bad_pose_spoils_nothing(toy_model, toy_items[1:3], bad,
+                                       reason.format(n=graph.n_nodes))
+
+    @pytest.mark.parametrize("value,reason", MALFORMED_GRIDS,
+                             ids=["list", "object", "strings"])
+    def test_malformed_grid_does_not_spoil_its_batch(self, value, reason,
+                                                     toy_model, toy_items):
+        grid = toy_items[0].grid
+        bad = (replace(grid, occupancy=value(grid)), toy_items[0].graph)
+        assert_bad_pose_spoils_nothing(toy_model, toy_items[1:3], bad, reason)
 
     def test_predict_batch_rejects_wrong_grid_shape(self, toy_model,
                                                     toy_items):
@@ -225,6 +254,14 @@ def relative_error(a, ref):
     return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
 
 
+def eval_tape_predict(model, items):
+    """Scores of ``items`` through a dense eval tape, as validation takes
+    them."""
+    return models._scores(model.build_tape(
+        np.stack([it.grid.occupancy for it in items]),
+        batch_graphs([it.graph for it in items])))
+
+
 # (voxel config, graph config, generator, poses) at paper size and at the
 # criterion-3 size
 SPARSE_SIZES = {
@@ -260,7 +297,7 @@ class TestSparseInputPrediction:
                 voxel_head_forward(model.voxel_params, vcfg, grids)[0],
                 graph_head_forward(model.graph_params, gcfg, graphs)[0])
         else:
-            dense = model._eval_tape_predict(grids, graphs)
+            dense = eval_tape_predict(model, items)
         assert relative_error(preds, dense) < 1e-12
 
     @staticmethod
@@ -308,11 +345,7 @@ class TestSparseInputPrediction:
             np.stack([it.grid.occupancy for it in items]),
             batch_graphs([it.graph for it in items]),
             labels=[it.label for it in items], inference=True)
-        convs = [n for n in g.nodes if n.op == "conv3d"]
-        assert [n.attrs.get("sparse_input", False) for n in convs] == \
-            [True, False, False, False]
-        assert [n.attrs.get("stacked", False) for n in convs] == \
-            [False, True, True, True]
+        assert g.inference
         assert gradient_check(g, loss, 1e-5) < 1e-4
 
     @pytest.mark.parametrize("mode", ["coherent", "late"])
@@ -413,8 +446,10 @@ class TestHeadCheckpoints:
                                          for it in toy_items])
         assert not errors
         expected = late_fusion_predict(
-            voxel_head_forward(vparams, vcfg, [it.grid for it in toy_items],
-                               bn_state=bn_state, inference=True)[0],
+            models._scores(models._head_tape(
+                "voxel", vparams, vcfg,
+                np.stack([it.grid.occupancy for it in toy_items]),
+                bn_state=bn_state, inference=True)),
             graph_head_forward(gparams, toy_graph_cfg,
                                [it.graph for it in toy_items])[0])
         assert [p.hex() for p in preds] == [float(e).hex() for e in expected]
@@ -499,7 +534,8 @@ class TestTraining:
         m, history = train(m, toy_items[:12], toy_items[12:], cfg, seed=0)
         val = [h["val_mse"] for h in history]
         assert int(np.argmin(val)) < len(val) - 1
-        final = models._eval_mse(m, toy_items[12:])
+        final = models._eval_mse(lambda part: eval_tape_predict(m, part),
+                                 toy_items[12:])
         assert final == pytest.approx(min(val), rel=1e-9)
 
     def test_no_training_tape_outlives_its_use(self, toy_model, toy_items,
@@ -508,8 +544,8 @@ class TestTraining:
         alive_at_eval = []  # training tapes alive as each eval tape is built
 
         class Recording(ValueGraph):
-            def __init__(self, seed=0, training=False):
-                super().__init__(seed, training)
+            def __init__(self, seed=0, training=False, inference=False):
+                super().__init__(seed, training, inference)
                 if not training:
                     alive_at_eval.append(
                         sum(t and r() is not None for r, t in tapes))
