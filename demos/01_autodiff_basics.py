@@ -8,11 +8,11 @@ from fusionscreen.optim import Optimizer, OptimizerConfig
 
 print("== building a small tape ==")
 g = ValueGraph()
-x = g.input(np.array([[1.0, 2.0], [3.0, 4.0]]), "x")
-w = g.parameter(np.array([[0.5], [-0.25]]), "w")
-b = g.parameter(np.array([0.1]), "b")
+x = g.input(np.array([[1.0, 2.0], [3.0, 4.0]]))
+w = g.parameter(np.array([[0.5], [-0.25]]))
+b = g.parameter(np.array([0.1]))
 pred = g.apply("dense", [x, w, b])
-y = g.input(np.array([[0.0], [1.0]]), "y")
+y = g.input(np.array([[0.0], [1.0]]))
 loss = g.apply("mse-loss", [pred, y])
 print(f"forward loss = {g.value(loss):.6f}")
 

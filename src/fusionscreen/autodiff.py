@@ -82,9 +82,10 @@ stays dense on both: the dense input is on the tape.
 
 max-pool3d takes the running maximum over the strided views of its window
 cells, and its backward finds each window's first maximum again from the
-stored output, so neither copies its input into window-last order.  Ties go
-to the first cell in window order, as argmax picks it: values and gradients
-are bitwise those of an argmax pool.
+stored output in one reverse scan over the same views, each matching cell
+overwriting the index a later one wrote, so neither copies its input into
+window-last order.  Ties go to the first cell in window order, as argmax
+picks it: values and gradients are bitwise those of an argmax pool.
 """
 
 from __future__ import annotations
@@ -135,10 +136,10 @@ def _as_array(x) -> np.ndarray:
 
 
 class Node:
-    __slots__ = ("nid", "op", "inputs", "value", "attrs", "trainable", "name",
-                 "ctx", "needs")
+    __slots__ = ("nid", "op", "inputs", "value", "attrs", "trainable", "ctx",
+                 "needs")
 
-    def __init__(self, nid, op, inputs, value, attrs, trainable=False, name=None,
+    def __init__(self, nid, op, inputs, value, attrs, trainable=False,
                  needs=()):
         self.nid = nid
         self.op = op
@@ -146,7 +147,6 @@ class Node:
         self.value = value
         self.attrs = attrs or {}
         self.trainable = trainable
-        self.name = name
         self.ctx: dict[str, Any] = {}
         # per input: does that input require a gradient?
         self.needs = needs
@@ -187,16 +187,16 @@ class ValueGraph:
         self.rng = np.random.default_rng(seed)
 
     # -- leaves ---------------------------------------------------------
-    def input(self, value, name: str | None = None) -> int:
-        return self._add("leaf", [], _as_array(value), {}, False, name)
+    def input(self, value) -> int:
+        return self._add("leaf", [], _as_array(value), {}, False)
 
-    def parameter(self, value, name: str | None = None) -> int:
-        return self._add("leaf", [], _as_array(value), {}, True, name)
+    def parameter(self, value) -> int:
+        return self._add("leaf", [], _as_array(value), {}, True)
 
-    def _add(self, op, inputs, value, attrs, trainable, name) -> int:
+    def _add(self, op, inputs, value, attrs, trainable) -> int:
         needs = tuple(self.nodes[i].requires_grad for i in inputs)
         node = Node(len(self.nodes), op, list(inputs), value, attrs, trainable,
-                    name, needs)
+                    needs)
         self.nodes.append(node)
         return node.nid
 
@@ -215,7 +215,7 @@ class ValueGraph:
         for i in inputs:
             if not (0 <= i < len(self.nodes)):
                 raise GraphError(f"{op_kind}: invalid input node id {i}")
-        nid = self._add(op_kind, inputs, None, dict(attrs or {}), False, None)
+        nid = self._add(op_kind, inputs, None, dict(attrs or {}), False)
         self._run(self.nodes[nid])
         return nid
 
@@ -592,39 +592,14 @@ def _window_cells(x, s):
             for i in range(s) for j in range(s) for l in range(s)]
 
 
-# index of the lowest set bit of each byte (0 for 0)
-_LOWEST_BIT = np.array([max(0, (v & -v).bit_length() - 1) for v in range(256)],
-                       dtype=np.intp)
-
-
 def _first_max(x, out, s):
     """Flat index into ``x`` of the first cell of each pooling window that
-    equals its maximum ``out``.
-
-    Cells are matched eight at a time into one bit each of a byte, whose
-    lowest set bit names the group's first match; groups run last to first,
-    so an earlier group's match overwrites a later one's.
-    """
+    equals its maximum ``out``; cells run last to first, so an earlier
+    cell's match overwrites a later one's."""
     b, c, d, h, w = x.shape
-    cells = _window_cells(x, s)
-    eq = np.empty(out.shape, bool)
-    bits = np.empty(out.shape, np.uint8)
-    code = np.empty(out.shape, np.uint8)
-    first = None
-    for g0 in reversed(range(0, len(cells), 8)):
-        group = cells[g0:g0 + 8]
-        code.fill(0)
-        for n, (_, cell) in enumerate(group):
-            np.equal(cell, out, out=eq)
-            np.left_shift(eq.view(np.uint8), n, out=bits)
-            code |= bits
-        offsets = np.zeros(8, np.intp)
-        offsets[:len(group)] = [offset for offset, _ in group]
-        at = offsets[_LOWEST_BIT][code]
-        if first is None:
-            first = at
-        else:
-            np.copyto(first, at, where=code != 0)
+    first = np.zeros(out.shape, np.intp)
+    for offset, cell in reversed(_window_cells(x, s)):
+        np.copyto(first, offset, where=cell == out)
     first += (np.arange(b * c).reshape(b, c, 1, 1, 1) * (d * h * w)
               + np.arange(0, d, s).reshape(-1, 1, 1) * (h * w)
               + np.arange(0, h, s).reshape(-1, 1) * w + np.arange(0, w, s))

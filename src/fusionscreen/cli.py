@@ -221,6 +221,11 @@ def cmd_hpo(args) -> int:
         space = _SPACE_PRESETS[args.space]()
     else:
         space = pb2.HyperParamSpace.from_json(Path(args.space).read_text())
+    lr = next((d for d in space.dimensions if d.name == "learning_rate"), None)
+    if lr is None or lr.kind != "continuous" or lr.domain[0] <= 0:
+        raise UsageError(f"search space {args.space}: quadratic_trainable "
+                         f"needs a continuous 'learning_rate' dimension with "
+                         f"positive bounds")
     cfg = pb2.Pb2Config(population_size=args.population,
                         quantile_fraction=args.quantile,
                         t_ready=args.t_ready)

@@ -159,14 +159,6 @@ class GridConfig:
 class VoxelGrid:
     occupancy: np.ndarray  # [2*c_elem, G, G, G]
 
-    @property
-    def channels(self) -> int:
-        return self.occupancy.shape[0]
-
-    @property
-    def extent(self) -> int:
-        return self.occupancy.shape[1]
-
 
 def voxelize(c: SyntheticComplex, grid: GridConfig = GridConfig()) -> VoxelGrid:
     """Nearest-voxel assignment: each atom adds 1.0 to one cell.

@@ -219,15 +219,17 @@ def pr_curve(scores, true_labels):
 # method comparison
 # ---------------------------------------------------------------------------
 
+MIN_OVERLAP_FRACTION = 0.01   # coverage of the experimental set a method needs
+
+
 def method_comparison_report(methods: dict[str, dict], experimental: dict,
-                             lower_is_stronger: set[str] = frozenset(),
-                             min_overlap_fraction: float = 0.01):
+                             lower_is_stronger: set[str] = frozenset()):
     """Side-by-side correlations of scoring methods against experiment.
 
     ``methods`` maps method name -> {key: score}; ``experimental`` maps
     key -> measured affinity.  Each method is correlated over its overlap
     with the experimental keys; methods whose overlap covers less than
-    ``min_overlap_fraction`` of the experimental set are reported but their
+    ``MIN_OVERLAP_FRACTION`` of the experimental set are reported but their
     correlations marked undefined.  Correlation magnitudes are reported as
     absolute values so methods where lower scores mean stronger binding
     (named in ``lower_is_stronger``) compare on an equal footing, with the
@@ -247,7 +249,7 @@ def method_comparison_report(methods: dict[str, dict], experimental: dict,
                "pearson_r": None, "spearman_rho": None,
                "abs_pearson_r": None, "abs_spearman_rho": None}
         if len(overlap) >= 2 and \
-                len(overlap) / len(exp_keys) >= min_overlap_fraction:
+                len(overlap) / len(exp_keys) >= MIN_OVERLAP_FRACTION:
             x = np.array([scores[k] for k in overlap], dtype=float)
             y = np.array([experimental[k] for k in overlap], dtype=float)
             r = pearson(x, y)

@@ -10,13 +10,14 @@ before it writes the first, so a job that fails at any point before the
 write leaves no shards behind; a scorer that raises, returns the wrong
 number of scores or returns a score that is not a real number fails only
 that attempt, and a pose with a non-finite score is logged as unscorable.
-The campaign driver retries failed jobs up to a retry budget and records any
-ranges still missing afterwards, so within one campaign no prediction is
-written twice.  Across campaigns this does not yet hold: a re-run into a
-directory holding a different job layout overwrites only the files whose
-names it shares, and the earlier layout's other shards and manifests stay
-beside its own, so the directory then holds some poses twice (ROADMAP item 1
-tracks the fix).
+The campaign driver hands each job to one worker, which runs that job's
+attempts in turn until one succeeds or the retry budget is spent, so a retry
+never waits for other jobs; the ranges of abandoned jobs are recorded, and
+within one campaign no prediction is written twice.  Across campaigns this
+does not yet hold: a re-run into a directory holding a different job layout
+overwrites only the files whose names it shares, and the earlier layout's
+other shards and manifests stay beside its own, so the directory then holds
+some poses twice (ROADMAP item 1 tracks the fix).
 
 Faults are injected deterministically from a seed: record corruption is a
 property of the pose (stable across attempts), rank and job failures are
@@ -444,58 +445,45 @@ def run_campaign(library: list[PoseRecord], scorer, n_jobs: int,
                  ) -> tuple[list[PredictionRecord], CampaignReport]:
     """Partitions, runs jobs in parallel, retries failures, reports gaps.
 
+    Each job goes to one worker, which runs its attempts in turn until one
+    succeeds, so a retry starts as soon as its own job's attempt has failed.
     Each pose is scored exactly once across the whole campaign: a failed
     attempt writes nothing, and a successful retry replaces it wholesale.
     Jobs still failing after ``retries`` extra attempts are abandoned and
     their pose ranges listed in the campaign manifest.
     """
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
     plan = plan or FaultPlan()
     t0 = time.perf_counter()
     jobs = partition(library, n_jobs, ranks_per_job, batch_size)
-    results: dict[int, JobResult] = {}
-    attempts = {j.job_id: 0 for j in jobs}
-    abandoned = []
-
-    def attempt_job(spec: JobSpec) -> JobResult:
-        return run_job(spec, scorer, plan, attempts[spec.job_id], out_dir)
-
-    pending = list(jobs)
     with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        while pending:
-            futures = {pool.submit(attempt_job, j): j for j in pending}
-            retry = []
-            for fut, spec in futures.items():
-                res = fut.result()
-                attempts[spec.job_id] += 1
-                if res.status == "ok":
-                    results[spec.job_id] = res
-                elif attempts[spec.job_id] <= retries:
-                    retry.append(spec)
-                else:
-                    abandoned.append(spec.job_id)
-                    logger.error("job %d abandoned after %d attempts",
-                                 spec.job_id, attempts[spec.job_id])
-            pending = retry
+        last = list(pool.map(
+            lambda spec: _run_attempts(spec, scorer, plan, retries, out_dir),
+            jobs))
     t1 = time.perf_counter()
+    attempts = {r.job_id: r.attempt + 1 for r in last}
+    done = [r for r in last if r.status == "ok"]
+    abandoned = [r.job_id for r in last if r.status != "ok"]
 
     predictions, corrupted = [], []
-    for jid in sorted(results):
-        predictions.extend(results[jid].predictions)
-        corrupted.extend(results[jid].corrupted)
+    for r in done:
+        predictions.extend(r.predictions)
+        corrupted.extend(r.corrupted)
     missing = []
-    for jid in sorted(abandoned):
+    for jid in abandoned:
         poses = jobs[jid].poses
         missing.append({"job_id": jid, "first": pose_key(poses[0]),
                         "last": pose_key(poses[-1]), "count": len(poses)})
     report = CampaignReport(
         n_poses=len(library), n_jobs=n_jobs,
-        succeeded=sorted(results), abandoned=sorted(abandoned),
+        succeeded=[r.job_id for r in done], abandoned=abandoned,
         missing_ranges=missing, attempts=attempts, corrupted=corrupted,
         timings={"wall_s": t1 - t0,
                  "evaluation_s": sum(r.timings.get("evaluation_s", 0.0)
-                                     for r in results.values()),
+                                     for r in done),
                  "output_s": sum(r.timings.get("output_s", 0.0)
-                                 for r in results.values())})
+                                 for r in done)})
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -509,6 +497,19 @@ def run_campaign(library: list[PoseRecord], scorer, n_jobs: int,
                        "complete": report.complete,
                        "timings": report.timings}, f, indent=2)
     return predictions, report
+
+
+def _run_attempts(spec: JobSpec, scorer, plan: FaultPlan, retries: int,
+                  out_dir) -> JobResult:
+    """A job's last attempt: attempts 0 to ``retries`` run in turn until one
+    succeeds."""
+    for attempt in range(retries + 1):
+        res = run_job(spec, scorer, plan, attempt, out_dir)
+        if res.status == "ok":
+            return res
+    logger.error("job %d abandoned after %d attempts", spec.job_id,
+                 retries + 1)
+    return res
 
 
 _POSE_ORDER = operator.attrgetter("compound_id", "target_id", "pose_id")
@@ -627,7 +628,7 @@ def throughput_report(startup_s: float, evaluation_s: float, output_s: float,
 def scaling_experiment(n_poses: int, worker_groups: list[int],
                        batch_sizes: list[int],
                        per_pose_s: float = 2e-4, per_batch_s: float = 2e-3,
-                       plan: FaultPlan | None = None) -> list[dict]:
+                       ) -> list[dict]:
     """Measures evaluation wall time across worker-group counts and batches.
 
     Worker groups run as real threads over a synthetic sleep-based scorer, so
@@ -643,8 +644,7 @@ def scaling_experiment(n_poses: int, worker_groups: list[int],
             scorer = SyntheticScorer(per_pose_s, per_batch_s)
             t0 = time.perf_counter()
             preds, report = run_campaign(
-                library, scorer, n_jobs=groups, plan=plan,
-                parallelism=groups, ranks_per_job=1, batch_size=bs)
+                library, scorer, n_jobs=groups, parallelism=groups, ranks_per_job=1, batch_size=bs)
             wall = time.perf_counter() - t0
             rows.append({"worker_groups": groups, "batch_size": bs,
                          "wall_s": wall, "scored": len(preds),

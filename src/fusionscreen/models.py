@@ -278,19 +278,14 @@ class _Tape:
     def bind(self, params: dict[str, np.ndarray], prefix: str, trainable: bool):
         for name, arr in params.items():
             full = f"{prefix}/{name}"
-            nid = (self.graph.parameter(arr, full) if trainable
-                   else self.graph.input(arr, full))
-            self.pnodes[full] = nid
+            self.pnodes[full] = (self.graph.parameter(arr) if trainable
+                                 else self.graph.input(arr))
 
     def p(self, name: str) -> int:
         return self.pnodes[name]
 
 
-def _act(g: ValueGraph, kind: str, nid: int) -> int:
-    return g.apply(kind, [nid])
-
-
-def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int, prefix: str,
+def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int,
                 bn_state: dict, frozen: bool = False) -> tuple[int, int]:
     """Returns (prediction node [B,1], latent node [B, latent_width]).
 
@@ -299,7 +294,7 @@ def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int, prefix: str,
     training tape.
     """
     g = tape.graph
-    p = lambda n: tape.p(f"{prefix}/{n}")
+    p = lambda n: tape.p(f"voxel/{n}")
     bn_training = g.training and not frozen
     use_bn = cfg.batch_norm
     if use_bn and bn_training and g.nodes[x_nid].value.shape[0] < 2:
@@ -312,7 +307,7 @@ def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int, prefix: str,
                          bn_state, f"bn{idx}", bn_training)
 
     def conv(nid, idx):
-        return _act(g, "relu", g.apply(
+        return g.apply("relu", g.apply(
             "conv3d", [nid, p(f"conv{idx}_w"), p(f"conv{idx}_b")]))
 
     h1 = conv(x_nid, 1)
@@ -330,10 +325,10 @@ def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int, prefix: str,
         h4 = g.apply("elementwise-add", [h4, h3])
     h4 = g.apply("max-pool3d", [h4], {"size": 2})
     flat = g.apply("flatten", [h4])
-    d1 = _act(g, "relu", g.apply("dense", [flat, p("dense1_w"), p("dense1_b")]))
+    d1 = g.apply("relu", g.apply("dense", [flat, p("dense1_w"), p("dense1_b")]))
     if g.training:
         d1 = g.apply("dropout", [d1], {"rate": cfg.dropout_early})
-    d2 = _act(g, "relu", g.apply("dense", [d1, p("dense2_w"), p("dense2_b")]))
+    d2 = g.apply("relu", g.apply("dense", [d1, p("dense2_w"), p("dense2_b")]))
     if g.training:
         d2 = g.apply("dropout", [d2], {"rate": cfg.dropout_mid})
     pred = g.apply("dense", [d2, p("out_w"), p("out_b")])
@@ -349,16 +344,16 @@ def _bn_apply(g, nid, gamma_nid, beta_nid, bn_state, key, training):
     return out
 
 
-def _gru_phase(tape: _Tape, prefix: str, phase: str, h: int, adj) -> int:
+def _gru_phase(tape: _Tape, phase: str, h: int, adj) -> int:
     g = tape.graph
-    p = lambda n: tape.p(f"{prefix}/{phase}_{n}")
+    p = lambda n: tape.p(f"graph/{phase}_{n}")
     m = g.apply("neighbor-sum", [g.apply("matmul", [h, p("msg_w")])],
                 {"matrix": adj})
-    z = _act(g, "sigmoid", g.apply("elementwise-add", [
+    z = g.apply("sigmoid", g.apply("elementwise-add", [
         g.apply("dense", [m, p("wz"), p("bz")]), g.apply("matmul", [h, p("uz")])]))
-    r = _act(g, "sigmoid", g.apply("elementwise-add", [
+    r = g.apply("sigmoid", g.apply("elementwise-add", [
         g.apply("dense", [m, p("wr"), p("br")]), g.apply("matmul", [h, p("ur")])]))
-    hh = _act(g, "tanh", g.apply("elementwise-add", [
+    hh = g.apply("tanh", g.apply("elementwise-add", [
         g.apply("dense", [m, p("wh"), p("bh")]),
         g.apply("matmul", [g.apply("mul", [r, h]), p("uh")])]))
     # h' = (1 - z) * h + z * hh, written as h + z * (hh - h)
@@ -366,46 +361,46 @@ def _gru_phase(tape: _Tape, prefix: str, phase: str, h: int, adj) -> int:
                    [h, g.apply("mul", [z, g.apply("sub", [hh, h])])])
 
 
-def _graph_tape(tape: _Tape, cfg: GraphHeadConfig, batch: GraphBatch,
-                prefix: str) -> tuple[int, int]:
+def _graph_tape(tape: _Tape, cfg: GraphHeadConfig,
+                batch: GraphBatch) -> tuple[int, int]:
     """Returns (prediction node [B,1], latent node [B, gather_width_noncov])."""
     g = tape.graph
-    p = lambda n: tape.p(f"{prefix}/{n}")
-    feats = g.input(batch.features, "graph_features")
-    h = _act(g, "tanh", g.apply("dense", [feats, p("embed_w"), p("embed_b")]))
+    p = lambda n: tape.p(f"graph/{n}")
+    feats = g.input(batch.features)
+    h = g.apply("tanh", g.apply("dense", [feats, p("embed_w"), p("embed_b")]))
     for _ in range(cfg.k_cov):
-        h = _gru_phase(tape, prefix, "cov", h, batch.adj_cov)
+        h = _gru_phase(tape, "cov", h, batch.adj_cov)
     for _ in range(cfg.k_noncov):
-        h = _gru_phase(tape, prefix, "noncov", h, batch.adj_noncov)
-    gates = _act(g, "sigmoid",
-                 g.apply("dense", [h, p("gather_gate_w"), p("gather_gate_b")]))
-    vals = _act(g, "tanh",
-                g.apply("dense", [h, p("gather_feat_w"), p("gather_feat_b")]))
+        h = _gru_phase(tape, "noncov", h, batch.adj_noncov)
+    gates = g.apply("sigmoid",
+                    g.apply("dense", [h, p("gather_gate_w"), p("gather_gate_b")]))
+    vals = g.apply("tanh",
+                   g.apply("dense", [h, p("gather_feat_w"), p("gather_feat_b")]))
     latent = g.apply("neighbor-sum", [g.apply("mul", [gates, vals])],
                      {"matrix": batch.pool})
-    d1 = _act(g, "relu", g.apply("dense", [latent, p("dense1_w"), p("dense1_b")]))
-    d2 = _act(g, "relu", g.apply("dense", [d1, p("dense2_w"), p("dense2_b")]))
+    d1 = g.apply("relu", g.apply("dense", [latent, p("dense1_w"), p("dense1_b")]))
+    d2 = g.apply("relu", g.apply("dense", [d1, p("dense2_w"), p("dense2_b")]))
     pred = g.apply("dense", [d2, p("out_w"), p("out_b")])
     return pred, latent
 
 
-def _fusion_tape(tape: _Tape, cfg: FusionConfig, latent_g: int, latent_v: int,
-                 prefix: str) -> int:
+def _fusion_tape(tape: _Tape, cfg: FusionConfig, latent_g: int,
+                 latent_v: int) -> int:
     g = tape.graph
-    p = lambda n: tape.p(f"{prefix}/{n}")
+    p = lambda n: tape.p(f"fusion/{n}")
     act = cfg.activation
     parts = [latent_g, latent_v]
     if cfg.model_specific_layers:
-        parts.append(_act(g, act, g.apply(
+        parts.append(g.apply(act, g.apply(
             "dense", [latent_g, p("ms_graph_w"), p("ms_graph_b")])))
-        parts.append(_act(g, act, g.apply(
+        parts.append(g.apply(act, g.apply(
             "dense", [latent_v, p("ms_voxel_w"), p("ms_voxel_b")])))
     h = g.apply("concat", parts, {"axis": -1})
     n = cfg.n_fusion_layers
     rates = [cfg.dropout_early] + [cfg.dropout_mid] * (n - 3) + [cfg.dropout_late]
     prev = None
     for i in range(n - 1):
-        h = _act(g, act, g.apply("dense", [h, p(f"fuse{i}_w"), p(f"fuse{i}_b")]))
+        h = g.apply(act, g.apply("dense", [h, p(f"fuse{i}_w"), p(f"fuse{i}_b")]))
         if cfg.residual_fusion and prev is not None:
             h = g.apply("elementwise-add", [h, prev])
         prev = h
@@ -475,11 +470,10 @@ class FusionModel:
         tape.bind(self.voxel_params, "voxel", not freeze_heads)
         tape.bind(self.graph_params, "graph", not freeze_heads)
         tape.bind(self.fusion_params, "fusion", True)
-        x = g.input(vox_batch, "voxels")
-        _, lat_v = _voxel_tape(tape, self.voxel_cfg, x, "voxel", self.bn_state,
-                               freeze_heads)
-        _, lat_g = _graph_tape(tape, self.graph_cfg, graph_batch, "graph")
-        pred = _fusion_tape(tape, self.fusion_cfg, lat_g, lat_v, "fusion")
+        _, lat_v = _voxel_tape(tape, self.voxel_cfg, g.input(vox_batch),
+                               self.bn_state, freeze_heads)
+        _, lat_g = _graph_tape(tape, self.graph_cfg, graph_batch)
+        pred = _fusion_tape(tape, self.fusion_cfg, lat_g, lat_v)
         return g, pred, _mse_loss(g, pred, labels), tape.pnodes
 
     # -- prediction ------------------------------------------------------
@@ -657,10 +651,10 @@ def _head_tape(kind: str, params: dict, cfg, x, training: bool = False,
     tape = _Tape(g)
     tape.bind(params, kind, training)
     if kind == "voxel":
-        pred, lat = _voxel_tape(tape, cfg, g.input(x, "voxels"), "voxel",
+        pred, lat = _voxel_tape(tape, cfg, g.input(x),
                                 {} if bn_state is None else bn_state)
     else:
-        pred, lat = _graph_tape(tape, cfg, x, "graph")
+        pred, lat = _graph_tape(tape, cfg, x)
     return g, pred, lat, _mse_loss(g, pred, labels), tape.pnodes
 
 
@@ -672,7 +666,7 @@ def _scores(tape) -> np.ndarray:
 def _mse_loss(g: ValueGraph, pred: int, labels) -> int | None:
     if labels is None:
         return None
-    y = g.input(np.asarray(labels, dtype=np.float64).reshape(-1, 1), "labels")
+    y = g.input(np.asarray(labels, dtype=np.float64).reshape(-1, 1))
     return g.apply("mse-loss", [pred, y])
 
 

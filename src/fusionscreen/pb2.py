@@ -6,7 +6,10 @@ the bottom quantile clones a top performer's checkpoint (exploit) and gets a
 perturbed configuration (explore).  Continuous dimensions are proposed by a
 UCB acquisition over a time-varying Gaussian-process fit to observed score
 changes; categorical and boolean dimensions mutate with a fixed small
-probability.
+probability.  PB2 (:func:`run_hpo`) and its random-search baseline
+(:func:`random_search`) share one set-up and one generation step, in which a
+trial that raises is marked failed and a population with no live trial left
+raises.
 
 The full-scale reference configuration (population 90-270,
 t_ready 100 epochs, quantile fraction 0.5) is documented in
@@ -29,6 +32,7 @@ MUTATION_PROBABILITY = 0.1   # categorical/boolean re-sample chance on explore
 FALLBACK_SPREAD = 0.2        # +/-20% uniform perturbation before the GP has data
 UCB_KAPPA = 2.0
 GP_TIME_DECAY = 10.0         # epochs; time scale of the GP kernel's decay
+GP_WINDOW = 64               # observations the GP keeps, newest first
 
 
 # ---------------------------------------------------------------------------
@@ -43,16 +47,24 @@ class Dimension:
     scale: str = "linear"          # linear | log (continuous only)
 
     def __post_init__(self):
+        where = f"dimension {self.name!r}"
         if self.kind not in ("categorical", "boolean", "continuous"):
-            raise ValueError(f"unknown dimension kind {self.kind!r}")
+            raise ValueError(f"{where}: unknown kind {self.kind!r}")
+        if self.scale not in ("linear", "log"):
+            raise ValueError(f"{where}: scale must be 'linear' or 'log', "
+                             f"got {self.scale!r}")
         if self.kind == "categorical" and not self.domain:
-            raise ValueError(f"{self.name}: empty categorical domain")
+            raise ValueError(f"{where}: empty categorical domain")
         if self.kind == "continuous":
+            if len(self.domain) != 2 or not all(
+                    isinstance(v, (int, float)) for v in self.domain):
+                raise ValueError(f"{where}: continuous domain must be two "
+                                 f"numbers [lo, hi], got {list(self.domain)}")
             lo, hi = self.domain
             if not lo < hi:
-                raise ValueError(f"{self.name}: bounds must satisfy lo < hi")
+                raise ValueError(f"{where}: bounds must satisfy lo < hi")
             if self.scale == "log" and lo <= 0:
-                raise ValueError(f"{self.name}: log scale needs positive bounds")
+                raise ValueError(f"{where}: log scale needs positive bounds")
 
     def sample(self, rng) -> object:
         if self.kind == "boolean":
@@ -106,11 +118,27 @@ class HyperParamSpace:
 
     @classmethod
     def from_json(cls, text: str) -> "HyperParamSpace":
+        """The space :meth:`to_json` wrote.  Raises ``ValueError`` naming the
+        dimension and the field of a malformed entry."""
         data = json.loads(text)
-        return cls(tuple(
-            Dimension(d["name"], d["kind"], tuple(d["domain"]),
-                      d.get("scale", "linear"))
-            for d in data["dimensions"]))
+        if not isinstance(data, dict) or \
+                not isinstance(data.get("dimensions"), list):
+            raise ValueError('a search space must be an object with a '
+                             '"dimensions" list')
+        dims = []
+        for i, d in enumerate(data["dimensions"]):
+            if not isinstance(d, dict):
+                raise ValueError(f"dimension {i}: must be an object")
+            where = f"dimension {d.get('name', i)!r}"
+            for key in ("name", "kind"):
+                if key not in d:
+                    raise ValueError(f"{where}: missing field {key!r}")
+            domain = d.get("domain", [])
+            if not isinstance(domain, list):
+                raise ValueError(f"{where}: field 'domain' must be a list")
+            dims.append(Dimension(d["name"], d["kind"], tuple(domain),
+                                  d.get("scale", "linear")))
+        return cls(tuple(dims))
 
 
 def fusion_search_space() -> HyperParamSpace:
@@ -215,20 +243,19 @@ class GpBanditState:
 
     Squared-exponential kernel over the unit-cube config coordinates times an
     exponential time-decay factor; the lengthscale and noise are picked by
-    marginal likelihood over a small fixed grid.  Observations older than the
-    sliding window are dropped.
+    marginal likelihood over a small fixed grid.  Only the newest
+    ``GP_WINDOW`` observations are kept.
     """
 
-    def __init__(self, n_dims: int, window: int = 64):
+    def __init__(self, n_dims: int):
         self.n_dims = n_dims
-        self.window = window
         self.observations: list[tuple[np.ndarray, float, float]] = []
 
     def observe(self, x_unit: np.ndarray, t: float, score_change: float) -> None:
         self.observations.append((np.asarray(x_unit, dtype=float), float(t),
                                   float(score_change)))
-        if len(self.observations) > self.window:
-            self.observations = self.observations[-self.window:]
+        if len(self.observations) > GP_WINDOW:
+            self.observations = self.observations[-GP_WINDOW:]
 
     def _kernel(self, a, ta, b, tb, lengthscale):
         d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
@@ -236,12 +263,15 @@ class GpBanditState:
         return np.exp(-d2 / (2 * lengthscale ** 2)) * np.exp(-dt / GP_TIME_DECAY)
 
     def _fit(self):
+        """(x, t, lengthscale, Cholesky factor, weights) of the grid kernel
+        with the lowest negative log marginal likelihood of the standardized
+        score changes; raises ``RuntimeError`` if no kernel factors."""
         x = np.array([o[0] for o in self.observations])
         t = np.array([o[1] for o in self.observations])
         y = np.array([o[2] for o in self.observations])
         mu, sd = y.mean(), y.std()
         yz = (y - mu) / sd if sd > 0 else y - mu
-        best = (np.inf, 0.5, 1e-2)
+        best_nll, best = np.inf, None
         for ls in (0.1, 0.25, 0.5, 1.0):
             for noise in (1e-4, 1e-2, 1e-1):
                 k = self._kernel(x, t, x, t, ls) + noise * np.eye(len(x))
@@ -251,18 +281,17 @@ class GpBanditState:
                     continue
                 alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, yz))
                 nll = (0.5 * yz @ alpha + np.log(np.diag(chol)).sum())
-                if nll < best[0]:
-                    best = (nll, ls, noise)
-        return x, t, yz, mu, sd, best[1], best[2]
+                if nll < best_nll:
+                    best_nll, best = nll, (ls, chol, alpha)
+        if best is None:
+            raise RuntimeError("GP degenerate: no kernel on the grid factors")
+        return (x, t) + best
 
     def propose(self, base_unit: np.ndarray, t_now: float, rng) -> np.ndarray:
         """Maximizes UCB over random candidates near and across the cube."""
         if len(self.observations) < 2:
             raise RuntimeError("GP degenerate: fewer than 2 observations")
-        x, t, yz, mu, sd, ls, noise = self._fit()
-        k = self._kernel(x, t, x, t, ls) + noise * np.eye(len(x))
-        chol = np.linalg.cholesky(k)
-        alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, yz))
+        x, t, ls, chol, alpha = self._fit()
         cand = np.vstack([
             rng.random((128, self.n_dims)),
             np.clip(base_unit + 0.1 * rng.standard_normal((64, self.n_dims)),
@@ -316,7 +345,6 @@ def ready_and_rank(population: list[TrialState], t_ready: int,
 
 def exploit_explore(below_trial: TrialState, above_set: list[TrialState],
                     gp: GpBanditState, space: HyperParamSpace, seed: int,
-                    mutation_probability: float = MUTATION_PROBABILITY,
                     ) -> TrialState:
     """Clone a top checkpoint, then perturb the configuration.
 
@@ -346,7 +374,7 @@ def exploit_explore(below_trial: TrialState, above_set: list[TrialState],
                 config[d.name] = d.clip(v)
     for d in space.dimensions:
         if d.kind in ("categorical", "boolean") and \
-                rng.random() < mutation_probability:
+                rng.random() < MUTATION_PROBABILITY:
             config[d.name] = d.sample(rng)
     clone = TrialState(
         trial_id=below_trial.trial_id,
@@ -357,6 +385,39 @@ def exploit_explore(below_trial: TrialState, above_set: list[TrialState],
         lineage=below_trial.lineage + [(source.epoch, source.trial_id)],
     )
     return clone
+
+
+def _start_search(space: HyperParamSpace, pb2: Pb2Config, budget_epochs: int,
+                  seed: int):
+    """(rng, initial trials, generation count) of a search of
+    ``budget_epochs`` epochs per trial."""
+    generations = budget_epochs // pb2.t_ready
+    if generations < 1:
+        raise ValueError("budget smaller than one perturbation interval")
+    rng = np.random.default_rng(seed)
+    configs = sample_initial_population(space, pb2.population_size,
+                                       int(rng.integers(0, 2 ** 31 - 1)))
+    population = [TrialState(i, cfg) for i, cfg in enumerate(configs)]
+    return rng, population, generations
+
+
+def _train_generation(population: list[TrialState], trainable,
+                      t_ready: int) -> list[TrialState]:
+    """Trains every live trial ``t_ready`` epochs, in place, and returns the
+    live ones.  A trial that raises is logged and marked failed, and trains
+    no more; a population with no live trial left raises ``RuntimeError``."""
+    for i, trial in enumerate(population):
+        if trial.failed:
+            continue
+        try:
+            population[i] = trainable(trial, t_ready)
+        except Exception as e:  # noqa: BLE001 - trial crash is data
+            logger.warning("trial %d failed: %s", trial.trial_id, e)
+            trial.failed = True
+    alive = [t for t in population if not t.failed]
+    if not alive:
+        raise RuntimeError("every trial in the population failed")
+    return alive
 
 
 def run_hpo(space: HyperParamSpace, pb2: Pb2Config, budget_epochs: int,
@@ -370,27 +431,14 @@ def run_hpo(space: HyperParamSpace, pb2: Pb2Config, budget_epochs: int,
     has one record per generation including every lineage event.  A trial that
     raises is marked failed and replaced by exploit/explore from the top set.
     """
-    rng = np.random.default_rng(seed)
-    configs = sample_initial_population(space, pb2.population_size,
-                                       int(rng.integers(0, 2 ** 31 - 1)))
-    population = [TrialState(i, cfg) for i, cfg in enumerate(configs)]
+    rng, population, generations = _start_search(space, pb2, budget_epochs,
+                                                  seed)
     gp = GpBanditState(len(space.continuous))
     history = []
     best: tuple[float, TrialState | None] = (np.inf, None)
-    generations = budget_epochs // pb2.t_ready
-    if generations < 1:
-        raise ValueError("budget smaller than one perturbation interval")
     for gen in range(generations):
         prev_best = {t.trial_id: t.best_score() for t in population}
-        for i, trial in enumerate(population):
-            try:
-                population[i] = trainable(trial, pb2.t_ready)
-            except Exception as e:  # noqa: BLE001 - trial crash is data
-                logger.warning("trial %d failed: %s", trial.trial_id, e)
-                trial.failed = True
-        alive = [t for t in population if not t.failed]
-        if not alive:
-            raise RuntimeError("every trial in the population failed")
+        alive = _train_generation(population, trainable, pb2.t_ready)
         for t in alive:
             score = t.best_score(t.epoch - pb2.t_ready)
             if score < best[0]:
@@ -424,21 +472,16 @@ def run_hpo(space: HyperParamSpace, pb2: Pb2Config, budget_epochs: int,
 
 def random_search(space: HyperParamSpace, pb2: Pb2Config, budget_epochs: int,
                   trainable, seed: int = 0) -> float:
-    """Equal-budget random-search baseline; returns the best score seen."""
-    rng = np.random.default_rng(seed)
-    configs = sample_initial_population(space, pb2.population_size,
-                                       int(rng.integers(0, 2 ** 31 - 1)))
-    population = [TrialState(i, cfg) for i, cfg in enumerate(configs)]
-    generations = budget_epochs // pb2.t_ready
+    """Equal-budget random-search baseline; returns the best score seen.
+
+    ``run_hpo``'s set-up and generation step, without exploit or explore.
+    """
+    _, population, generations = _start_search(space, pb2, budget_epochs,
+                                                seed)
     best = np.inf
     for _ in range(generations):
-        for i, trial in enumerate(population):
-            try:
-                population[i] = trainable(trial, pb2.t_ready)
-            except Exception:  # noqa: BLE001
-                trial.failed = True
-        best = min([best] + [t.best_score() for t in population
-                             if not t.failed])
+        alive = _train_generation(population, trainable, pb2.t_ready)
+        best = min([best] + [t.best_score() for t in alive])
     return float(best)
 
 

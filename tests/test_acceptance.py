@@ -73,7 +73,7 @@ def test_criterion_01_gradient_fidelity():
         g = ValueGraph(training=False)
         tape = _Tape(g)
         tape.bind(models.init_voxel_params(vcfg, rng), "voxel", True)
-        pred, _ = _voxel_tape(tape, vcfg, g.input(vox), "voxel", {})
+        pred, _ = _voxel_tape(tape, vcfg, g.input(vox), {})
         loss = g.apply("mse-loss", [pred, g.input(y)])
         worst = max(worst, gradient_check(g, loss, 1e-5))
 
@@ -81,7 +81,7 @@ def test_criterion_01_gradient_fidelity():
         g = ValueGraph(training=False)
         tape = _Tape(g)
         tape.bind(models.init_graph_params(gcfg, rng), "graph", True)
-        pred, _ = _graph_tape(tape, gcfg, gb, "graph")
+        pred, _ = _graph_tape(tape, gcfg, gb)
         loss = g.apply("mse-loss", [pred, g.input(y)])
         worst = max(worst, gradient_check(g, loss, 1e-5))
 

@@ -22,8 +22,8 @@ from fusionscreen.autodiff import (
 
 def scalar_graph(w0=1.5, x0=2.0):
     g = ValueGraph()
-    w = g.parameter(np.array([[w0]]), "w")
-    x = g.input(np.array([[x0]]), "x")
+    w = g.parameter(np.array([[w0]]))
+    x = g.input(np.array([[x0]]))
     y = g.apply("matmul", [x, w])
     sq = g.apply("mul", [y, y])
     loss = g.apply("mse-loss", [sq, g.input(np.zeros((1, 1)))])

@@ -263,6 +263,39 @@ class TestHpo:
                     "--out", str(tmp_path / "hpo")]) == cli.EXIT_OK
 
 
+class TestHpoSpaceFile:
+    """A malformed ``--space`` file is bad usage: exit 1, naming the fault."""
+
+    LR = {"name": "learning_rate", "kind": "continuous",
+          "domain": [1e-4, 1.0], "scale": "log"}
+
+    @pytest.mark.parametrize("space, message", [
+        ({"dimensions": [{"name": "lr", "domain": [0.1, 1.0]}]},
+         "dimension 'lr': missing field 'kind'"),
+        ({"dims": [LR]}, 'an object with a "dimensions" list'),
+        ([LR], 'an object with a "dimensions" list'),
+        ({"dimensions": [{"name": "learning_rate", "kind": "continuous",
+                          "domain": [1e-4]}]},
+         "dimension 'learning_rate': continuous domain must be two numbers"),
+        ({"dimensions": [dict(LR, scale="lgo")]},
+         "dimension 'learning_rate': scale must be 'linear' or 'log', "
+         "got 'lgo'"),
+        ({"dimensions": [{"name": "optimizer", "kind": "categorical",
+                          "domain": ["adam", "sgd"]}]},
+         "needs a continuous 'learning_rate' dimension"),
+    ], ids=["no-kind", "no-dimensions", "top-level-list", "one-bound",
+            "unknown-scale", "no-learning-rate"])
+    def test_malformed_space_exits_1(self, tmp_path, capsys, space, message):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(space))
+        out = tmp_path / "hpo"
+        assert run(["hpo", "--space", str(path), "--population", "4",
+                    "--budget", "5", "--t-ready", "5",
+                    "--out", str(out)]) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_unknown_argument_is_usage(self):
         assert run(["gen", "--count", "5", "--bogus"]) == cli.EXIT_USAGE
@@ -273,6 +306,13 @@ class TestExitCodes:
     def test_missing_file_is_usage(self, tmp_path):
         assert run(["screen", "--library", str(tmp_path / "nope.jsonl"),
                     "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+
+    def test_negative_retries_is_usage(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        assert run(["screen", "--library", str(data), "--jobs", "2",
+                    "--retries", "-1",
+                    "--out", str(tmp_path / "scr")]) == cli.EXIT_USAGE
+        assert "retries must be >= 0" in capsys.readouterr().err
 
     def test_version_exits_zero(self, capsys):
         assert run(["--version"]) == cli.EXIT_OK

@@ -307,8 +307,7 @@ class TestMethodComparison:
     def test_low_coverage_marked_undefined(self):
         exp = {f"k{i}": float(i) for i in range(1000)}
         rows = ev.method_comparison_report(
-            {"tiny": {"k0": 0.0, "k1": 1.0}}, exp,
-            min_overlap_fraction=0.01)
+            {"tiny": {"k0": 0.0, "k1": 1.0}}, exp)
         assert rows[0]["pearson_r"] is None
 
     def test_empty_experimental_rejected(self):

@@ -1,19 +1,24 @@
-"""Per-epoch training histories pinned bitwise for fixed seeds.
+"""Per-epoch training histories and PB2 searches pinned bitwise for fixed
+seeds.
 
-The values were recorded before ``train`` and ``train_head`` were folded into
-one loop; any change to draw order, batching, the optimizer step or the
-validation MSE shows up here as a changed ``float.hex`` string.  Regenerate
-(only for an intended numerical change) with
+The training values were recorded before ``train`` and ``train_head`` were
+folded into one loop; any change to draw order, batching, the optimizer step
+or the validation MSE shows up here as a changed ``float.hex`` string.  The
+PB2 digests were recorded before ``run_hpo`` and ``random_search`` shared one
+generation step; they pin the best trial, every generation's record and the
+random-search score.  Regenerate both tables (only for an intended numerical
+change) with
 
     PYTHONPATH=src python tests/test_golden_history.py
 """
 
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
 
-from fusionscreen import complexes, models
+from fusionscreen import complexes, models, pb2
 from fusionscreen.optim import OptimizerConfig
 
 _OPT = OptimizerConfig("adam", 3e-3)
@@ -174,6 +179,72 @@ GOLDEN = {
 }
 
 
+_PB2 = pb2.Pb2Config(population_size=6, quantile_fraction=0.5, t_ready=3)
+_PB2_BUDGET = 30
+PB2_SPACES = {
+    "fusion": pb2.fusion_search_space,
+    "log_learning_rate": lambda: pb2.HyperParamSpace((
+        pb2.Dimension("learning_rate", "continuous", (1e-4, 1.0), "log"),)),
+}
+PB2_SEEDS = (0, 1, 2)
+
+
+def _exact(v):
+    """``v`` with every float as its ``float.hex`` string, for hashing."""
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, dict):
+        return [[str(k), _exact(x)] for k, x in sorted(v.items(), key=str)]
+    if isinstance(v, (list, tuple)):
+        return [_exact(x) for x in v]
+    return v
+
+
+def _sha(v) -> str:
+    return hashlib.sha256(json.dumps(_exact(v)).encode()).hexdigest()[:16]
+
+
+def record_pb2() -> dict:
+    """Per space and seed: digests of ``run_hpo``'s best trial (config,
+    epoch, score history, lineage) and per-generation history, and
+    ``random_search``'s score as a hex string."""
+    out = {}
+    for name, make in PB2_SPACES.items():
+        for seed in PB2_SEEDS:
+            best, history = pb2.run_hpo(make(), _PB2, _PB2_BUDGET,
+                                        pb2.quadratic_trainable(), seed=seed)
+            rs = pb2.random_search(make(), _PB2, _PB2_BUDGET,
+                                   pb2.quadratic_trainable(), seed=seed)
+            out[f"{name}/{seed}"] = {
+                "best": _sha([best.config, best.epoch, best.score_history,
+                              best.lineage]),
+                "history": _sha(history),
+                "random_search": rs.hex()}
+    return out
+
+
+GOLDEN_PB2 = {
+    "fusion/0": {"best": "99af8850bb64c4d1",
+                 "history": "df2a56f3991e8295",
+                 "random_search": "0x1.2343592d0e6dcp+2"},
+    "fusion/1": {"best": "ad16d230e7ba5cca",
+                 "history": "1aa1dae3db264c93",
+                 "random_search": "0x1.1ae211e1e091cp+1"},
+    "fusion/2": {"best": "ba0dda50cd447877",
+                 "history": "ccf60ab9ccc8972e",
+                 "random_search": "0x1.2eb81567791adp+0"},
+    "log_learning_rate/0": {"best": "b7b3f671f459d4b6",
+                            "history": "3623ab17ee3d60a5",
+                            "random_search": "0x1.85bcb5ff6fe9ep-4"},
+    "log_learning_rate/1": {"best": "e843e19f5245fca5",
+                            "history": "628655bcef633237",
+                            "random_search": "0x1.b9ca26bb0dc82p-13"},
+    "log_learning_rate/2": {"best": "c5258fed6515ae3d",
+                            "history": "37b498be57c71b5d",
+                            "random_search": "0x1.aba1afe244617p-3"},
+}
+
+
 def test_histories_bitwise_equal_to_golden():
     got = record()
     for name in RUNS:
@@ -181,7 +252,12 @@ def test_histories_bitwise_equal_to_golden():
         assert got[name]["params"] == GOLDEN[name]["params"], name
 
 
+def test_pb2_searches_bitwise_equal_to_golden():
+    assert record_pb2() == GOLDEN_PB2
+
+
 if __name__ == "__main__":
     import pprint
 
     pprint.pprint(record(), width=78)
+    pprint.pprint(record_pb2(), width=78)

@@ -221,6 +221,32 @@ class TestCampaign:
         assert report.complete
         assert any(a > 1 for a in report.attempts.values())
 
+    def test_retry_does_not_wait_for_other_jobs(self):
+        # job 0 holds c00000-c00001 and fails its first attempt; job 1 scores
+        # only once job 0's retry has run, so a driver that waits for every
+        # job's attempt before retrying would leave job 1 waiting
+        retried = threading.Event()
+        job0_calls, waits = [], []
+
+        def scorer(poses):
+            if poses[0].compound_id <= "c00001":
+                job0_calls.append(poses)
+                if len(job0_calls) == 1:
+                    raise RuntimeError("node lost")
+                retried.set()
+            else:
+                waits.append(retried.wait(timeout=5.0))
+            return [1.0] * len(poses)
+
+        _, report = run_campaign(library(4), scorer, n_jobs=2, parallelism=2)
+        assert report.complete
+        assert report.attempts == {0: 2, 1: 1}
+        assert waits == [True]
+
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ValueError, match="retries"):
+            run_campaign(library(4), SyntheticScorer(), n_jobs=2, retries=-1)
+
 
 class FailingScorer(SyntheticScorer):
     """Raises for batches holding one compound, ``times`` times at most."""

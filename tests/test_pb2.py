@@ -152,40 +152,40 @@ class TestExploitExplore:
         assert clone.epoch == above[0].epoch
         assert clone.lineage[-1] == (5, 7)
 
-    def test_fallback_perturbation_within_20_percent(self):
+    def test_fallback_perturbation_within_20_percent(self, monkeypatch):
+        monkeypatch.setattr(pb2, "MUTATION_PROBABILITY", 0.0)
         space = self.space()
         gp = GpBanditState(1)  # degenerate: no observations
         for seed in range(50):
             clone = exploit_explore(make_trial(0, 9.0), [make_trial(1, 0.1)],
-                                    gp, space, seed=seed,
-                                    mutation_probability=0.0)
+                                    gp, space, seed=seed)
             ratio = clone.config["learning_rate"] / 0.1
             assert 0.8 <= ratio <= 1.2
 
-    def test_fallback_clips_to_bounds(self):
+    def test_fallback_clips_to_bounds(self, monkeypatch):
+        monkeypatch.setattr(pb2, "MUTATION_PROBABILITY", 0.0)
         space = lr_space(lo=0.09, hi=0.11)
         gp = GpBanditState(1)
         for seed in range(30):
             clone = exploit_explore(make_trial(0, 9.0), [make_trial(1, 0.1)],
-                                    gp, space, seed=seed,
-                                    mutation_probability=0.0)
+                                    gp, space, seed=seed)
             assert 0.09 <= clone.config["learning_rate"] <= 0.11
 
-    def test_categoricals_stable_without_mutation(self):
+    def test_categoricals_stable_without_mutation(self, monkeypatch):
+        monkeypatch.setattr(pb2, "MUTATION_PROBABILITY", 0.0)
         gp = GpBanditState(1)
         clone = exploit_explore(make_trial(0, 9.0), [make_trial(1, 0.1)],
-                                gp, self.space(), seed=3,
-                                mutation_probability=0.0)
+                                gp, self.space(), seed=3)
         assert clone.config["optimizer"] == "adam"
         assert clone.config["batch_norm"] is False
 
-    def test_mutation_resamples_categoricals(self):
+    def test_mutation_resamples_categoricals(self, monkeypatch):
+        monkeypatch.setattr(pb2, "MUTATION_PROBABILITY", 1.0)
         gp = GpBanditState(1)
         changed = 0
         for seed in range(200):
             clone = exploit_explore(make_trial(0, 9.0), [make_trial(1, 0.1)],
-                                    gp, self.space(), seed=seed,
-                                    mutation_probability=1.0)
+                                    gp, self.space(), seed=seed)
             changed += clone.config["optimizer"] != "adam"
         assert 0 < changed < 200  # resample is uniform, so roughly half move
 
@@ -221,12 +221,37 @@ class TestGp:
                    for _ in range(10))
         assert hits >= 7
 
-    def test_window_drops_old_observations(self):
-        gp = GpBanditState(1, window=5)
+    def test_window_drops_old_observations(self, monkeypatch):
+        monkeypatch.setattr(pb2, "GP_WINDOW", 5)
+        gp = GpBanditState(1)
         for i in range(9):
             gp.observe(np.array([0.1]), float(i), 0.0)
         assert len(gp.observations) == 5
         assert gp.observations[0][1] == 4.0
+
+    def test_no_factoring_kernel_is_degenerate(self, rng, monkeypatch):
+        gp = GpBanditState(1)
+        for i in range(3):
+            gp.observe(np.array([0.1 * i]), float(i), float(i))
+
+        def no_factor(k):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+        with pytest.raises(RuntimeError, match="degenerate"):
+            gp.propose(np.array([0.5]), 3.0, rng)
+
+    def test_propose_factors_one_kernel_per_grid_point(self, rng,
+                                                        monkeypatch):
+        gp = GpBanditState(1)
+        for i in range(6):
+            gp.observe(np.array([0.15 * i]), float(i), float(i % 3))
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda k: calls.append(1) or cholesky(k))
+        gp.propose(np.array([0.5]), 6.0, rng)
+        assert len(calls) == 12      # the 4 x 3 grid, no second factoring
 
 
 class TestRunHpo:
@@ -272,6 +297,35 @@ class TestRunHpo:
                        quadratic_trainable(), seed=5)
         assert a.config == b.config
         assert a.best_score() == b.best_score()
+
+
+class TestRandomSearch:
+    def test_budget_below_one_interval_rejected(self):
+        with pytest.raises(ValueError, match="perturbation interval"):
+            pb2.random_search(lr_space(), Pb2Config(4, 0.5, 10), 5,
+                              quadratic_trainable())
+
+    def test_all_trials_failing_raises(self):
+        def crash(trial, n):
+            raise RuntimeError("node lost")
+
+        for search in (run_hpo, pb2.random_search):
+            with pytest.raises(RuntimeError, match="every trial"):
+                search(lr_space(), Pb2Config(4, 0.5, 5), 10, crash)
+
+    def test_failed_trial_trains_no_more(self):
+        calls = []
+        inner = quadratic_trainable()
+
+        def flaky(trial, n):
+            calls.append(trial.trial_id)
+            if trial.trial_id == 0:
+                raise RuntimeError("node lost")
+            return inner(trial, n)
+
+        best = pb2.random_search(lr_space(), Pb2Config(4, 0.5, 5), 20, flaky)
+        assert np.isfinite(best)
+        assert calls.count(0) == 1 and calls.count(1) == 4
 
 
 def test_reference_config_documents_full_scale():
