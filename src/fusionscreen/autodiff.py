@@ -20,6 +20,18 @@ glibc from trimming the heap between training steps and faulting it back
 in: a 2-epoch criterion-3 ``models.train`` call on 1,700 complexes took about
 650k minor page faults before them and about 26k (on a first call) after.
 
+A tape keeps every value until it dies, except a graph given a plan by
+``free_at_last_use``: that one drops each op's value (and its ``ctx``) once
+the ``apply`` of its last consumer has returned, at the start of the next
+``apply`` or at ``collect``, so a wrapper around ``apply`` can still read the
+inputs of the call it wrapped.  The plan comes from a :class:`TapeStructure`,
+which records a builder's ops without running them.  Only ``models``'
+``predict_batch`` tapes free; training, validation, ``gradient_check`` and
+any other tape keep all their values, since ``backward`` and ``forward``
+need them.  A paper-size 56-pose ``predict_batch`` grew a fresh process by
+153 MB where keeping every value grew it by 426 MB, and took 6.5-10k minor
+faults per later call against 33-37k; an 8-pose one, 0 against about 3,500.
+
 conv3d is a same-padded, stride-1 correlation computed tile by tile: each
 tile is a channel-major im2col block ``[C*k^3, positions]`` covering whole
 samples, or depth slabs of one sample when a sample does not fit, and one
@@ -47,7 +59,8 @@ beyond twice that.  A buffer of about 24 MB freed on every call keeps the
 threshold above the buffer and every other temporary of a prediction or a
 training step, so all of them are reused from the heap: a 56-pose
 criterion-3 ``predict_batch`` takes 0-8 minor faults per call after
-warm-up, and a paper-size 8-pose one about 3,000.  Smaller buffers let the
+warm-up, and a paper-size 8-pose one about 3,000 (0 since prediction tapes
+free at last use).  Smaller buffers let the
 temporaries be mapped and faulted afresh on every call: with 16 MB tiles,
 over 200x the faults and about 30% slower; a stacked buffer sized to each
 call's need, about 3,900 faults per criterion-3 call and 5,100 per
@@ -101,6 +114,7 @@ __all__ = [
     "ShapeError",
     "Node",
     "ValueGraph",
+    "TapeStructure",
     "gradient_check",
     "SELU_ALPHA",
     "SELU_LAMBDA",
@@ -185,6 +199,11 @@ class ValueGraph:
         self.training = training
         self.inference = inference
         self.rng = np.random.default_rng(seed)
+        # set by ``free_at_last_use``: the tape to come, and per op node the
+        # nodes whose values die once its ``apply`` has returned
+        self._structure: list[tuple[str, list[int]]] | None = None
+        self._dies_after: dict[int, list[int]] = {}
+        self._dead: list[int] = []
 
     # -- leaves ---------------------------------------------------------
     def input(self, value) -> int:
@@ -194,9 +213,14 @@ class ValueGraph:
         return self._add("leaf", [], _as_array(value), {}, True)
 
     def _add(self, op, inputs, value, attrs, trainable) -> int:
+        nid = len(self.nodes)
+        if self._structure is not None and (
+                nid >= len(self._structure)
+                or self._structure[nid] != (op, list(inputs))):
+            raise GraphError(f"node {nid} ({op}) departs from the tape "
+                             f"structure its frees were planned on")
         needs = tuple(self.nodes[i].requires_grad for i in inputs)
-        node = Node(len(self.nodes), op, list(inputs), value, attrs, trainable,
-                    needs)
+        node = Node(nid, op, list(inputs), value, attrs, trainable, needs)
         self.nodes.append(node)
         return node.nid
 
@@ -209,6 +233,7 @@ class ValueGraph:
 
     # -- op application -------------------------------------------------
     def apply(self, op_kind: str, inputs, attrs: dict | None = None) -> int:
+        self.collect()
         if op_kind not in _OPS:
             raise GraphError(f"unknown op kind {op_kind!r}")
         inputs = [inputs] if isinstance(inputs, int) else list(inputs)
@@ -217,7 +242,39 @@ class ValueGraph:
                 raise GraphError(f"{op_kind}: invalid input node id {i}")
         nid = self._add(op_kind, inputs, None, dict(attrs or {}), False)
         self._run(self.nodes[nid])
+        self._dead = self._dies_after.get(nid, [])
         return nid
+
+    def free_at_last_use(self, structure: "TapeStructure", keep: int) -> None:
+        """Makes this graph, still empty, drop each op node's value once the
+        ``apply`` of its last consumer has returned: at the start of the next
+        ``apply``, or at ``collect``.  ``structure`` recorded the tape that
+        is to be built on this graph; a node that departs from it raises
+        :class:`GraphError`.  Leaves and the ``keep`` node keep their
+        values.  The tape has no ``backward`` or ``forward`` afterwards."""
+        if self.nodes:
+            raise GraphError("frees must be planned before the tape is built")
+        last = {}
+        for nid, (op, inputs) in enumerate(structure.nodes):
+            if op != "leaf":
+                last[nid] = nid  # a value no op reads dies after its own
+                for i in inputs:
+                    if structure.nodes[i][0] != "leaf":
+                        last[i] = nid
+        last.pop(keep, None)
+        self._structure = structure.nodes
+        self._dies_after = {}
+        for nid, at in last.items():
+            self._dies_after.setdefault(at, []).append(nid)
+
+    def collect(self) -> None:
+        """Drops the values (and op contexts) that ``free_at_last_use``
+        planned to die at the last ``apply``."""
+        for i in self._dead:
+            node = self.nodes[i]
+            node.value = None
+            node.ctx.clear()
+        self._dead = []
 
     def forward(self) -> None:
         """Replay every recorded op in tape order (leaves keep their values)."""
@@ -260,6 +317,33 @@ class ValueGraph:
         for p in self.parameters:
             out[p.nid] = grads.get(p.nid, np.zeros_like(p.value))
         return out
+
+
+class TapeStructure:
+    """Records the ops a tape builder applies, without running them, for
+    :meth:`ValueGraph.free_at_last_use`.
+
+    It offers the builder an eval graph's ``input``, ``parameter`` and
+    ``apply``; ``nodes`` holds ``(op, input ids)`` per node, ``"leaf"`` for
+    a leaf.  The builder must not read values, or the attributes of an op
+    (no op runs, so none is set).
+    """
+
+    training = False
+
+    def __init__(self):
+        self.nodes: list[tuple[str, list[int]]] = []
+
+    def input(self, value) -> int:
+        self.nodes.append(("leaf", []))
+        return len(self.nodes) - 1
+
+    parameter = input
+
+    def apply(self, op_kind: str, inputs, attrs: dict | None = None) -> int:
+        inputs = [inputs] if isinstance(inputs, int) else list(inputs)
+        self.nodes.append((op_kind, inputs))
+        return len(self.nodes) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +809,7 @@ def _dropout():
         _check(0.0 <= rate < 1.0, "dropout", f"rate {rate} outside [0,1)")
         if not graph.training or rate == 0.0:
             node.ctx["mask"] = None
-            return x.copy()
+            return x
         mask = (graph.rng.random(x.shape) >= rate) / (1.0 - rate)
         node.ctx["mask"] = mask
         return x * mask

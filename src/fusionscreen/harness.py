@@ -454,10 +454,12 @@ def run_campaign(library: list[PoseRecord], scorer, n_jobs: int,
     """
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     plan = plan or FaultPlan()
     t0 = time.perf_counter()
     jobs = partition(library, n_jobs, ranks_per_job, batch_size)
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
         last = list(pool.map(
             lambda spec: _run_attempts(spec, scorer, plan, retries, out_dir),
             jobs))

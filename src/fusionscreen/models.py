@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 import scipy.sparse as sp
 
-from .autodiff import ValueGraph, GraphError
+from .autodiff import GraphError, TapeStructure, ValueGraph
 from .checkpoint import save_checkpoint, load_checkpoint
 from .complexes import (ComplexGraph, GridConfig, SyntheticComplex, VoxelGrid,
                         build_graph, rotate_augment, voxelize)
@@ -302,9 +302,15 @@ def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int,
         logger.warning("batch size < 2: batch normalization disabled")
         use_bn = False
 
-    def bn(nid, idx):
-        return _bn_apply(g, nid, p(f"bn{idx}_gamma"), p(f"bn{idx}_beta"),
-                         bn_state, f"bn{idx}", bn_training)
+    def bn(nid, idx, width):
+        # The node reads, and in training updates, the running statistics
+        # in bn_state; they are created here, not by the op, so that a tape
+        # that runs no op (a TapeStructure) leaves the same state.
+        state = bn_state.setdefault(f"bn{idx}", {"mean": np.zeros(width),
+                                                 "var": np.ones(width)})
+        return g.apply("batch-norm",
+                       [nid, p(f"bn{idx}_gamma"), p(f"bn{idx}_beta")],
+                       {"training": bn_training, "state": state})
 
     def conv(nid, idx):
         return g.apply("relu", g.apply(
@@ -312,14 +318,14 @@ def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int,
 
     h1 = conv(x_nid, 1)
     if use_bn:
-        h1 = bn(h1, 1)
+        h1 = bn(h1, 1, cfg.conv_filters_1)
     h2 = conv(h1, 2)
     if cfg.residual_1:
         h2 = g.apply("elementwise-add", [h2, h1])
     h2 = g.apply("max-pool3d", [h2], {"size": 2})
     h3 = conv(h2, 3)
     if use_bn:
-        h3 = bn(h3, 2)
+        h3 = bn(h3, 2, cfg.conv_filters_2)
     h4 = conv(h3, 4)
     if cfg.residual_2:
         h4 = g.apply("elementwise-add", [h4, h3])
@@ -333,15 +339,6 @@ def _voxel_tape(tape: _Tape, cfg: VoxelHeadConfig, x_nid: int,
         d2 = g.apply("dropout", [d2], {"rate": cfg.dropout_mid})
     pred = g.apply("dense", [d2, p("out_w"), p("out_b")])
     return pred, d2
-
-
-def _bn_apply(g, nid, gamma_nid, beta_nid, bn_state, key, training):
-    attrs = {"training": training}
-    if key in bn_state:
-        attrs["state"] = bn_state[key]
-    out = g.apply("batch-norm", [nid, gamma_nid, beta_nid], attrs)
-    bn_state[key] = g.nodes[out].attrs["state"]
-    return out
 
 
 def _gru_phase(tape: _Tape, phase: str, h: int, adj) -> int:
@@ -458,14 +455,21 @@ class FusionModel:
                    training: bool = False, labels: np.ndarray | None = None,
                    seed: int = 0, freeze_heads: bool = False,
                    inference: bool = False):
-        """Builds the full forward tape; ``predict_batch``'s is ``inference``.
+        """Builds the full forward tape, which keeps every value; an
+        ``inference`` one takes ``predict_batch``'s conv3d paths.
 
         Returns (graph, pred_node, loss_node_or_None, name->nid map).
         """
-        mode = self.fusion_cfg.mode
-        if mode == "late":
+        if self.fusion_cfg.mode == "late":
             raise GraphError("late fusion has no joint tape; average the heads")
         g = ValueGraph(seed=seed, training=training, inference=inference)
+        pred, pnodes = self._tape_on(g, vox_batch, graph_batch, freeze_heads)
+        return g, pred, _mse_loss(g, pred, labels), pnodes
+
+    def _tape_on(self, g, vox_batch, graph_batch,
+                 freeze_heads: bool = False) -> tuple[int, dict]:
+        """Builds the mid or coherent forward tape on ``g``; returns
+        (prediction node, name->nid map)."""
         tape = _Tape(g)
         tape.bind(self.voxel_params, "voxel", not freeze_heads)
         tape.bind(self.graph_params, "graph", not freeze_heads)
@@ -473,8 +477,7 @@ class FusionModel:
         _, lat_v = _voxel_tape(tape, self.voxel_cfg, g.input(vox_batch),
                                self.bn_state, freeze_heads)
         _, lat_g = _graph_tape(tape, self.graph_cfg, graph_batch)
-        pred = _fusion_tape(tape, self.fusion_cfg, lat_g, lat_v)
-        return g, pred, _mse_loss(g, pred, labels), tape.pnodes
+        return _fusion_tape(tape, self.fusion_cfg, lat_g, lat_v), tape.pnodes
 
     # -- prediction ------------------------------------------------------
     def predict_batch(self, items):
@@ -482,11 +485,12 @@ class FusionModel:
 
         Returns (predictions, errors): predictions is a list aligned with the
         input (None for failed items); errors is a list of (index, reason).
-        Malformed items never abort the batch.  The tape is an inference
+        Malformed items never abort the batch.  Each tape is an inference
         graph (see ``autodiff``): the first convolution sums over occupied
         voxels only and the others run one GEMM per sample over their
         kernels' stacked depth taps, so a score can differ in the last bits
-        from the dense path that training and validation take.
+        from the dense path that training and validation take.  Each tape
+        also frees every value at its last use (``_predict``).
         """
         preds: list[float | None] = [None] * len(items)
         errors: list[tuple[int, str]] = []
@@ -501,16 +505,16 @@ class FusionModel:
             return preds, errors
         vox = np.stack([items[i][0].occupancy for i in valid])
         graphs = [items[i][1] for i in valid]
+        gb = batch_graphs(graphs)
         if self.fusion_cfg.mode == "late":
             scores = late_fusion_predict(
-                _scores(_head_tape("voxel", self.voxel_params, self.voxel_cfg,
-                                   vox, bn_state=self.bn_state,
-                                   inference=True)),
-                graph_head_forward(self.graph_params, self.graph_cfg,
-                                   graphs)[0])
+                _predict(lambda g: _head_on(g, "voxel", self.voxel_params,
+                                            self.voxel_cfg, vox, False,
+                                            self.bn_state)[0]),
+                _predict(lambda g: _head_on(g, "graph", self.graph_params,
+                                            self.graph_cfg, gb, False, {})[0]))
         else:
-            scores = _scores(self.build_tape(vox, batch_graphs(graphs),
-                                             inference=True))
+            scores = _predict(lambda g: self._tape_on(g, vox, gb)[0])
         for i, s in zip(valid, scores):
             preds[i] = float(s)
         return preds, errors
@@ -642,25 +646,52 @@ def load_head(path, expected_cfg) -> tuple[dict, dict]:
 def _head_tape(kind: str, params: dict, cfg, x, training: bool = False,
                seed: int = 0, bn_state: dict | None = None, labels=None,
                inference: bool = False):
-    """One head's tape over ``x``, a voxel batch or a GraphBatch, in an
-    ``inference`` graph for ``predict_batch``.
+    """One head's tape over ``x``, a voxel batch or a GraphBatch, which
+    keeps every value; an ``inference`` one takes ``predict_batch``'s conv3d
+    paths.
 
     Returns (graph, pred_node, latent_node, loss_node_or_None, name->nid map).
     """
     g = ValueGraph(seed=seed, training=training, inference=inference)
+    pred, lat, pnodes = _head_on(g, kind, params, cfg, x, training,
+                                 {} if bn_state is None else bn_state)
+    return g, pred, lat, _mse_loss(g, pred, labels), pnodes
+
+
+def _head_on(g, kind: str, params: dict, cfg, x, trainable: bool,
+             bn_state: dict) -> tuple[int, int, dict]:
+    """Builds one head's tape on ``g``; returns (pred_node, latent_node,
+    name->nid map)."""
     tape = _Tape(g)
-    tape.bind(params, kind, training)
+    tape.bind(params, kind, trainable)
     if kind == "voxel":
-        pred, lat = _voxel_tape(tape, cfg, g.input(x),
-                                {} if bn_state is None else bn_state)
+        pred, lat = _voxel_tape(tape, cfg, g.input(x), bn_state)
     else:
         pred, lat = _graph_tape(tape, cfg, x)
-    return g, pred, lat, _mse_loss(g, pred, labels), tape.pnodes
+    return pred, lat, tape.pnodes
 
 
 def _scores(tape) -> np.ndarray:
     """Predictions [B] of a ``build_tape`` or ``_head_tape`` result."""
     return tape[0].value(tape[1])[:, 0]
+
+
+def _predict(build) -> np.ndarray:
+    """Predictions [B] of the tape that ``build(graph)`` builds on an
+    inference graph, returning its prediction node.
+
+    The graph frees each value once its last consumer has run, so only the
+    leaves and the prediction keep theirs.  The plan comes from ``build``
+    run first over a :class:`~fusionscreen.autodiff.TapeStructure`, which
+    runs no kernel: a tape's structure follows from the model's configs
+    alone, whatever the batch.
+    """
+    structure = TapeStructure()
+    g = ValueGraph(inference=True)
+    g.free_at_last_use(structure, build(structure))
+    pred = build(g)
+    g.collect()
+    return g.value(pred)[:, 0]
 
 
 def _mse_loss(g: ValueGraph, pred: int, labels) -> int | None:

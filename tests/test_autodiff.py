@@ -15,6 +15,7 @@ from fusionscreen.autodiff import (
     SELU_ALPHA,
     SELU_LAMBDA,
     ShapeError,
+    TapeStructure,
     ValueGraph,
     gradient_check,
 )
@@ -200,6 +201,12 @@ class TestOps:
         kept = out[out > 0]
         assert np.allclose(kept, 1.0 / 0.75)
         assert abs(len(kept) / 2000 - 0.75) < 0.05
+
+    @pytest.mark.parametrize("training,rate", [(False, 0.5), (True, 0.0)])
+    def test_identity_dropout_returns_its_input(self, training, rate, rng):
+        g = ValueGraph(training=training)
+        x = g.input(rng.normal(size=(4, 3)))
+        assert g.value(g.apply("dropout", [x], {"rate": rate})) is g.value(x)
 
     def test_dropout_rate_validated(self):
         g = ValueGraph(training=True)
@@ -815,6 +822,51 @@ class TestMemoryLifetime:
         assert sorted(grads) == [p.nid for p in g.parameters]
         for nid, ref_nid in zip(sorted(grads), sorted(want)):
             assert np.array_equal(grads[nid], want[ref_nid])
+
+    @staticmethod
+    def branching_tape(g, x):
+        """A tape with a fan-out, a value read twice and one read never;
+        returns its output node."""
+        h = g.apply("relu", [g.input(x)])
+        u = g.apply("tanh", [h])
+        g.apply("sigmoid", [h])
+        return g.apply("mul", [u, g.apply("elementwise-add", [u, h])])
+
+    def test_free_at_last_use_keeps_values_until_the_next_apply(self, rng):
+        x = rng.normal(size=(3, 4))
+        ref = ValueGraph()
+        out = self.branching_tape(ref, x)
+        structure = TapeStructure()
+        g = ValueGraph()
+        g.free_at_last_use(structure, self.branching_tape(structure, x))
+        apply = g.apply
+        alive = []  # after each apply: the op nodes that hold a value
+
+        def recording(op_kind, inputs, attrs=None):
+            nid = apply(op_kind, inputs, attrs)
+            alive.append([n.nid for n in g.nodes
+                          if n.op != "leaf" and n.value is not None])
+            return nid
+
+        g.apply = recording
+        assert self.branching_tape(g, x) == out
+        # relu=1 is read last by the add (4), tanh=2 by the mul (5); the
+        # unread sigmoid (3) lives until the next apply
+        assert alive == [[1], [1, 2], [1, 2, 3], [1, 2, 4], [2, 4, 5]]
+        g.collect()
+        assert [n.nid for n in g.nodes if n.value is not None] == [0, 5]
+        assert g.value(out).tobytes() == ref.value(out).tobytes()
+
+    def test_a_tape_that_departs_from_its_structure_raises(self, rng):
+        x = rng.normal(size=(3, 4))
+        structure = TapeStructure()
+        g = ValueGraph()
+        g.free_at_last_use(structure, self.branching_tape(structure, x))
+        h = g.apply("relu", [g.input(x)])
+        with pytest.raises(GraphError, match="departs"):
+            g.apply("sigmoid", [h])
+        with pytest.raises(GraphError, match="before the tape is built"):
+            g.free_at_last_use(structure, 5)
 
     @pytest.mark.parametrize("op", ["sigmoid", "tanh"])
     def test_backward_from_stored_output_bitwise(self, op, rng):

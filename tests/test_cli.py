@@ -314,5 +314,16 @@ class TestExitCodes:
                     "--out", str(tmp_path / "scr")]) == cli.EXIT_USAGE
         assert "retries must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("parallelism", ["0", "-4"])
+    def test_parallelism_below_one_is_usage(self, tmp_path, capsys,
+                                            parallelism):
+        data = gen_dataset(tmp_path)
+        out = tmp_path / "scr"
+        assert run(["screen", "--library", str(data), "--jobs", "2",
+                    "--parallelism", parallelism,
+                    "--out", str(out)]) == cli.EXIT_USAGE
+        assert "parallelism must be >= 1" in capsys.readouterr().err
+        assert not (out / "run_manifest.json").exists()
+
     def test_version_exits_zero(self, capsys):
         assert run(["--version"]) == cli.EXIT_OK

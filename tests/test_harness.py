@@ -247,6 +247,12 @@ class TestCampaign:
         with pytest.raises(ValueError, match="retries"):
             run_campaign(library(4), SyntheticScorer(), n_jobs=2, retries=-1)
 
+    @pytest.mark.parametrize("parallelism", [0, -4])
+    def test_parallelism_below_one_rejected(self, parallelism):
+        with pytest.raises(ValueError, match="parallelism must be >= 1"):
+            run_campaign(library(4), SyntheticScorer(), n_jobs=2,
+                         parallelism=parallelism)
+
 
 class FailingScorer(SyntheticScorer):
     """Raises for batches holding one compound, ``times`` times at most."""

@@ -357,6 +357,105 @@ class TestSparseInputPrediction:
             ([(3, f1, 8, 8, 8), (3, f1, 4, 4, 4), (3, f2, 4, 4, 4)], [])
 
 
+def record_prediction_tapes(monkeypatch):
+    """Wraps ``ValueGraph.apply`` as perfbench's tracer does, reading every
+    input's value shape right after each call returns.  Returns {graph:
+    [(op, input shapes, bytes of non-leaf values held) per call]}."""
+    tapes = {}
+    original = ValueGraph.apply
+
+    def apply(graph, op_kind, inputs, attrs=None):
+        nid = original(graph, op_kind, inputs, attrs)
+        shapes = tuple(graph.nodes[i].value.shape
+                       for i in graph.nodes[nid].inputs)
+        held = sum(n.value.nbytes for n in graph.nodes
+                   if n.op != "leaf" and n.value is not None)
+        tapes.setdefault(graph, []).append((op_kind, shapes, held))
+        return nid
+
+    monkeypatch.setattr(ValueGraph, "apply", apply)
+    return tapes
+
+
+def last_use_bound(g):
+    """Peak bytes of the op values of ``g``, a tape that keeps them all, had
+    each been freed as soon as its last consumer ran; plus the largest
+    total of any one node's op inputs, which a free deferred to the next
+    ``apply`` holds one call longer."""
+    size = {n.nid: n.value.nbytes for n in g.nodes if n.op != "leaf"}
+    last = {nid: nid for nid in size}
+    for nid in size:
+        for i in g.nodes[nid].inputs:
+            if i in size:
+                last[i] = nid
+    peak = max(sum(size[i] for i in size
+                   if i <= j and (last[i] > j or i == j)) for j in size)
+    inputs = max(sum(size[i] for i in set(g.nodes[nid].inputs) if i in size)
+                 for nid in size)
+    return peak + inputs
+
+
+class TestPredictionFreesValues:
+    """``predict_batch``'s tapes free each value after its last consumer
+    has run, and only after that consumer's ``apply`` has returned."""
+
+    @staticmethod
+    def reference_tapes(model, items):
+        """The keep-everything inference tapes of the same batch, in the
+        order ``predict_batch`` builds its own."""
+        vox = np.stack([it.grid.occupancy for it in items])
+        gb = batch_graphs([it.graph for it in items])
+        if model.fusion_cfg.mode != "late":
+            return [model.build_tape(vox, gb, inference=True)[:2]]
+        return [models._head_tape(kind, params, cfg, x,
+                                  bn_state=model.bn_state,
+                                  inference=True)[:2]
+                for kind, params, cfg, x in (
+                    ("voxel", model.voxel_params, model.voxel_cfg, vox),
+                    ("graph", model.graph_params, model.graph_cfg, gb))]
+
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    @pytest.mark.parametrize("mode", ["coherent", "mid", "late"])
+    def test_values_die_at_last_use(self, mode, batch_norm, toy_voxel_cfg,
+                                    toy_graph_cfg, toy_fusion_cfg, toy_items,
+                                    monkeypatch):
+        model = FusionModel(replace(toy_voxel_cfg, batch_norm=batch_norm),
+                            toy_graph_cfg, replace(toy_fusion_cfg, mode=mode),
+                            seed=0)
+        items = toy_items[:6]
+        refs = self.reference_tapes(model, items)
+        tapes = record_prediction_tapes(monkeypatch)
+        preds, _ = model.predict_batch([(it.grid, it.graph) for it in items])
+        assert len(tapes) == len(refs)
+        for (g, calls), (ref, _) in zip(tapes.items(), refs):
+            assert max(held for _, _, held in calls) <= last_use_bound(ref)
+            assert [n.nid for n in g.nodes
+                    if n.op != "leaf" and n.value is not None] == \
+                [len(g.nodes) - 1]
+        scores = [models._scores(ref) for ref in refs]
+        expected = (late_fusion_predict(*scores) if mode == "late"
+                    else scores[0])
+        assert [p.hex() for p in preds] == [float(e).hex() for e in expected]
+
+    @pytest.mark.parametrize("mode", ["coherent", "mid", "late"])
+    def test_inputs_live_until_their_consumer_returns(
+            self, mode, toy_voxel_cfg, toy_graph_cfg, toy_fusion_cfg,
+            toy_items, monkeypatch):
+        model = FusionModel(toy_voxel_cfg, toy_graph_cfg,
+                            replace(toy_fusion_cfg, mode=mode), seed=0)
+        items = toy_items[:3]
+        refs = self.reference_tapes(model, items)
+        tapes = record_prediction_tapes(monkeypatch)
+        model.predict_batch([(it.grid, it.graph) for it in items])
+        for (g, calls), (ref, _) in zip(tapes.items(), refs):
+            assert [(op, shapes) for op, shapes, _ in calls] == \
+                [(n.op, tuple(ref.nodes[i].value.shape for i in n.inputs))
+                 for n in ref.nodes if n.op != "leaf"]
+            # every op input the wrapper read is gone by now
+            assert all(g.nodes[i].value is None for n in g.nodes[:-1]
+                       for i in n.inputs if g.nodes[i].op != "leaf")
+
+
 class TestPersistence:
     def test_save_load_roundtrip_bitwise(self, toy_model, toy_items,
                                          tmp_path):
