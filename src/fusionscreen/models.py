@@ -453,16 +453,14 @@ class FusionModel:
     # -- tape construction ----------------------------------------------
     def build_tape(self, vox_batch: np.ndarray, graph_batch: GraphBatch,
                    training: bool = False, labels: np.ndarray | None = None,
-                   seed: int = 0, freeze_heads: bool = False,
-                   inference: bool = False):
-        """Builds the full forward tape, which keeps every value; an
-        ``inference`` one takes ``predict_batch``'s conv3d paths.
+                   seed: int = 0, freeze_heads: bool = False):
+        """Builds the full forward tape, which keeps every value.
 
         Returns (graph, pred_node, loss_node_or_None, name->nid map).
         """
         if self.fusion_cfg.mode == "late":
             raise GraphError("late fusion has no joint tape; average the heads")
-        g = ValueGraph(seed=seed, training=training, inference=inference)
+        g = ValueGraph(seed=seed, training=training)
         pred, pnodes = self._tape_on(g, vox_batch, graph_batch, freeze_heads)
         return g, pred, _mse_loss(g, pred, labels), pnodes
 
@@ -644,15 +642,13 @@ def load_head(path, expected_cfg) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 def _head_tape(kind: str, params: dict, cfg, x, training: bool = False,
-               seed: int = 0, bn_state: dict | None = None, labels=None,
-               inference: bool = False):
+               seed: int = 0, bn_state: dict | None = None, labels=None):
     """One head's tape over ``x``, a voxel batch or a GraphBatch, which
-    keeps every value; an ``inference`` one takes ``predict_batch``'s conv3d
-    paths.
+    keeps every value.
 
     Returns (graph, pred_node, latent_node, loss_node_or_None, name->nid map).
     """
-    g = ValueGraph(seed=seed, training=training, inference=inference)
+    g = ValueGraph(seed=seed, training=training)
     pred, lat, pnodes = _head_on(g, kind, params, cfg, x, training,
                                  {} if bn_state is None else bn_state)
     return g, pred, lat, _mse_loss(g, pred, labels), pnodes

@@ -341,11 +341,11 @@ class TestSparseInputPrediction:
                             fusion_dense_nodes=4, activation="relu")
         model = FusionModel(toy_voxel_cfg, toy_graph_cfg, fcfg, seed=0)
         items = toy_items[:2]
-        g, _, loss, _ = model.build_tape(
-            np.stack([it.grid.occupancy for it in items]),
-            batch_graphs([it.graph for it in items]),
-            labels=[it.label for it in items], inference=True)
-        assert g.inference
+        g = ValueGraph(inference=True)
+        pred, _ = model._tape_on(
+            g, np.stack([it.grid.occupancy for it in items]),
+            batch_graphs([it.graph for it in items]))
+        loss = models._mse_loss(g, pred, [it.label for it in items])
         assert gradient_check(g, loss, 1e-5) < 1e-4
 
     @pytest.mark.parametrize("mode", ["coherent", "late"])
@@ -406,13 +406,17 @@ class TestPredictionFreesValues:
         vox = np.stack([it.grid.occupancy for it in items])
         gb = batch_graphs([it.graph for it in items])
         if model.fusion_cfg.mode != "late":
-            return [model.build_tape(vox, gb, inference=True)[:2]]
-        return [models._head_tape(kind, params, cfg, x,
-                                  bn_state=model.bn_state,
-                                  inference=True)[:2]
-                for kind, params, cfg, x in (
-                    ("voxel", model.voxel_params, model.voxel_cfg, vox),
-                    ("graph", model.graph_params, model.graph_cfg, gb))]
+            g = ValueGraph(inference=True)
+            return [(g, model._tape_on(g, vox, gb)[0])]
+        tapes = []
+        for kind, params, cfg, x, bn_state in (
+                ("voxel", model.voxel_params, model.voxel_cfg, vox,
+                 model.bn_state),
+                ("graph", model.graph_params, model.graph_cfg, gb, {})):
+            g = ValueGraph(inference=True)
+            tapes.append((g, models._head_on(g, kind, params, cfg, x, False,
+                                             bn_state)[0]))
+        return tapes
 
     @pytest.mark.parametrize("batch_norm", [False, True])
     @pytest.mark.parametrize("mode", ["coherent", "mid", "late"])
@@ -544,11 +548,13 @@ class TestHeadCheckpoints:
         preds, errors = m.predict_batch([(it.grid, it.graph)
                                          for it in toy_items])
         assert not errors
+        g = ValueGraph(inference=True)
+        pred = models._head_on(
+            g, "voxel", vparams, vcfg,
+            np.stack([it.grid.occupancy for it in toy_items]), False,
+            bn_state)[0]
         expected = late_fusion_predict(
-            models._scores(models._head_tape(
-                "voxel", vparams, vcfg,
-                np.stack([it.grid.occupancy for it in toy_items]),
-                bn_state=bn_state, inference=True)),
+            g.value(pred)[:, 0],
             graph_head_forward(gparams, toy_graph_cfg,
                                [it.graph for it in toy_items])[0])
         assert [p.hex() for p in preds] == [float(e).hex() for e in expected]
